@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: decompose | verify | oracle | gen | scan. Exit codes are a
-stable contract: 0 success, 1 verification failure, 2 infeasible (flow cut or
-LP verdict), 3 input error, 4 guardrail abort. Diagnostics go to stderr,
-never into data files.
+stable contract: 0 success, 1 verification failure or internal error,
+2 infeasible (flow cut, LP verdict, or an edge in no triangle), 3 input error,
+4 guardrail abort. Diagnostics go to stderr, never into data files.
 """
 
 from __future__ import annotations
@@ -310,9 +310,12 @@ def main(argv=None):
     except GuardrailError as exc:
         print(f"guardrail: {exc}", file=sys.stderr)
         return EXIT_GUARDRAIL
-    except TridecompError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except EdgeInNoTriangleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except TridecompError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

@@ -31,6 +31,19 @@ class LinkLimitError(GuardrailError):
         super().__init__(f"rooted-K4 link count exceeds the cap of {limit}{suffix}")
 
 
+class GraphSizeError(GuardrailError):
+    """The dense n x n arrays of a graph on n vertices would exceed the memory cap."""
+
+    def __init__(self, n, estimate, limit):
+        self.n = n
+        self.estimate = estimate
+        self.limit = limit
+        super().__init__(
+            f"a graph on {n} vertices needs about {estimate} bytes of dense arrays, "
+            f"above the cap of {limit}"
+        )
+
+
 class LPSizeError(GuardrailError):
     """The feasibility LP has more triangle variables than the configured cap."""
 

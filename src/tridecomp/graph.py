@@ -15,9 +15,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import GraphConstructionError, LinkLimitError
+from .errors import GraphConstructionError, GraphSizeError, LinkLimitError
 
 DEFAULT_MAX_LINKS = 50_000_000
+
+# A Graph holds n x n bool and int32 matrices and builds a padded bool copy and
+# its uint64 widening on the way to the packed rows: about 14 bytes per cell.
+DENSE_BYTES_PER_CELL = 14
+MAX_DENSE_BYTES = 1 << 30
 
 
 class Graph:
@@ -77,10 +82,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def check_dense_size(n):
+    """Raise GraphSizeError before a graph on n vertices allocates too much."""
+    estimate = DENSE_BYTES_PER_CELL * n * n
+    if estimate > MAX_DENSE_BYTES:
+        raise GraphSizeError(n, estimate, MAX_DENSE_BYTES)
+
+
 def from_edge_list(pairs, n):
     """Build a Graph from vertex pairs; duplicates collapse, loops are rejected."""
     if n < 0:
         raise GraphConstructionError(f"vertex count {n} is negative")
+    check_dense_size(n)
     seen = set()
     for pair in pairs:
         u, v = pair

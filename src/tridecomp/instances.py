@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import GraphConstructionError, InputFormatError
-from .graph import from_edge_list
+from .graph import check_dense_size, from_edge_list
 
 FAMILIES = (
     "complete",
@@ -115,9 +115,11 @@ def generate(spec):
     if family == "complete-multipartite":
         if not spec.parts or any(p < 1 for p in spec.parts) or len(spec.parts) < 2:
             raise ValueError("complete-multipartite needs at least two parts of size >= 1")
+        check_dense_size(sum(spec.parts))
         return _complete_multipartite(tuple(spec.parts))
     if spec.n < 3:
         raise ValueError(f"family {family!r} needs n >= 3, got {spec.n}")
+    check_dense_size(spec.n)
     if family == "complete":
         return _complete(spec.n)
     if family == "complete-minus-hamilton":

@@ -1,12 +1,30 @@
 """Exact feasibility oracle: phase-1 simplex over the edge/triangle incidence.
 
 Decides whether non-negative triangle weights exist whose sums over each edge
-equal exactly 1, by minimizing the total artificial slack with smallest-index
-(Bland) pivoting, which cannot cycle. The tableau is held as integer
-numerator rows with one positive denominator per row, gcd-reduced after every
-pivot; the hot path is vectorized numpy int64 guarded by a proven-no-overflow
-bound, falling back losslessly to Python big ints when the guard trips. Both
-paths perform the identical pivot sequence, so results are bit-reproducible.
+equal exactly 1, by minimizing the total artificial slack. The tableau is held
+as integer numerator rows with one positive denominator per row, gcd-reduced
+after every pivot; the hot path is vectorized numpy int64 guarded by a
+proven-no-overflow bound, falling back losslessly to Python big ints when the
+guard trips. Both paths perform the identical pivot sequence, so results are
+bit-reproducible.
+
+Pivoting. The entering column is the one with the most negative objective-row
+entry (the largest-coefficient rule), ties going to the smallest index; the
+objective row shares one denominator, so its numerators compare as values.
+The leaving row is the minimum-ratio row, ties going to the smallest basic
+variable. A pivot is degenerate when its winning ratio is 0. After
+`_STALL_LIMIT` consecutive degenerate pivots the entering rule switches to
+Bland's smallest-index rule until the next non-degenerate pivot.
+
+Termination. A non-degenerate pivot strictly lowers the phase-1 objective,
+which is a function of the basis, so no basis seen before it recurs after it,
+and there are finitely many bases. Inside one degenerate stretch at most
+`_STALL_LIMIT` pivots use the largest-coefficient rule; the rest use Bland's
+entering and leaving rules, which cannot cycle (Bland 1977, "New finite
+pivoting rules for the simplex method"). Artificial columns that leave the
+basis are banned from re-entering; the banned set only grows, and for a fixed
+banned set the banned columns simply drop out of the problem. So every
+stretch ends, and so does the whole run.
 """
 
 from __future__ import annotations
@@ -26,6 +44,9 @@ DEFAULT_MAX_LP_TRIANGLES = 5000
 # Entries below this bound cannot overflow int64 in one cross-multiplication.
 _NUMPY_GUARD = 1 << 31
 
+# Consecutive degenerate pivots allowed before Bland's entering rule takes over.
+_STALL_LIMIT = 64
+
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
@@ -42,14 +63,20 @@ class _Overflow(Exception):
 
 class _NumpyTableau:
     def __init__(self, nums, dens):
-        self.nums = np.array(nums, dtype=np.int64)
-        self.dens = np.array(dens, dtype=np.int64)
+        self.nums = nums
+        self.dens = dens
 
     def entry(self, i, j):
         return int(self.nums[i, j]), int(self.dens[i])
 
-    def negative_columns(self, row, limit):
-        return np.nonzero(self.nums[row, :limit] < 0)[0]
+    def entering(self, limit, banned, bland):
+        row = self.nums[-1, :limit]
+        candidates = np.flatnonzero((row < 0) & ~banned)
+        if candidates.size == 0:
+            return None
+        if bland:
+            return int(candidates[0])
+        return int(candidates[np.argmin(row[candidates])])
 
     def column_signs(self, col, rows):
         return self.nums[:rows, col]
@@ -85,9 +112,14 @@ class _PyTableau:
     def entry(self, i, j):
         return self.nums[i][j], self.dens[i]
 
-    def negative_columns(self, row, limit):
-        r = self.nums[row]
-        return [j for j in range(limit) if r[j] < 0]
+    def entering(self, limit, banned, bland):
+        row = self.nums[-1]
+        candidates = [j for j in range(limit) if row[j] < 0 and not banned[j]]
+        if not candidates:
+            return None
+        if bland:
+            return candidates[0]
+        return min(candidates, key=row.__getitem__)
 
     def column_signs(self, col, rows):
         return [self.nums[i][col] for i in range(rows)]
@@ -116,32 +148,32 @@ class _PyTableau:
         return self
 
 
-def _phase_one(incidence_rows, t, m):
-    """Run the phase-1 simplex; returns (slack_is_zero, witness dict col->Fraction)."""
-    width = t + m + 1
-    rhs = width - 1
-    nums = []
-    for i, row in enumerate(incidence_rows):
-        full = list(row) + [0] * m + [1]
-        full[t + i] = 1
-        nums.append(full)
-    objective = [0] * width
-    for j in range(t):
-        objective[j] = -sum(r[j] for r in incidence_rows)
-    objective[rhs] = -m
-    nums.append(objective)
-    dens = [1] * (m + 1)
+def _initial_tableau(ids, m):
+    """Phase-1 tableau [A | I | 1] over the objective row, from the (t, 3)
+    triangle edge ids: one row per edge, one column per triangle, then one
+    artificial column per edge and the right-hand side."""
+    t = ids.shape[0]
+    nums = np.zeros((m + 1, t + m + 1), np.int64)
+    nums[ids, np.arange(t)[:, None]] = 1
+    nums[np.arange(m), t + np.arange(m)] = 1
+    nums[:m, -1] = 1
+    # Minus the column sums: each triangle column holds three ones.
+    nums[m, :t] = -3
+    nums[m, -1] = -m
+    return _NumpyTableau(nums, np.ones(m + 1, np.int64))
 
-    tableau = _NumpyTableau(nums, dens)
-    basis = [t + i for i in range(m)]
-    banned = [False] * (t + m)
+
+def _phase_one(ids, m):
+    """Run the phase-1 simplex; returns (slack_is_zero, witness dict col->Fraction)."""
+    t = ids.shape[0]
+    rhs = t + m
+    tableau = _initial_tableau(ids, m)
+    basis = list(range(t, t + m))
+    banned = np.zeros(t + m, np.bool_)
+    stalled = 0
 
     while True:
-        entering = None
-        for j in tableau.negative_columns(m, t + m):
-            if not banned[j]:
-                entering = int(j)
-                break
+        entering = tableau.entering(t + m, banned, stalled >= _STALL_LIMIT)
         if entering is None:
             break
         col = tableau.column_signs(entering, m)
@@ -161,6 +193,7 @@ def _phase_one(incidence_rows, t, m):
                 best_num, best_den = rn, a
         if leave_row is None:
             raise AssertionError("phase-1 objective is bounded; no pivot row found")
+        stalled = stalled + 1 if best_num == 0 else 0
         try:
             tableau.pivot(leave_row, entering)
         except _Overflow:
@@ -199,12 +232,7 @@ def lp_feasible(g, max_triangles=DEFAULT_MAX_LP_TRIANGLES):
         return FeasibilityVerdict(False, None)
 
     ids = triangle_edge_ids(g, triangles)
-    rows = [[0] * t for _ in range(g.m)]
-    for j in range(t):
-        for e in ids[j].tolist():
-            rows[e][j] = 1
-
-    feasible, witness = _phase_one(rows, t, g.m)
+    feasible, witness = _phase_one(ids, g.m)
     if not feasible:
         return FeasibilityVerdict(False, None)
 

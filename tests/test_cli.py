@@ -2,7 +2,11 @@
 
 import csv
 
+import pytest
+
+from tridecomp import cli
 from tridecomp.cli import main
+from tridecomp.errors import EdgeInNoTriangleError, EmptyGraphError, UnknownTriangleError
 from tridecomp.instances import write_edge_list
 
 from conftest import complete_minus_edge, complete_graph
@@ -80,6 +84,32 @@ class TestDecompose:
         )
         assert code == 4
         assert "guardrail" in err
+
+    def test_huge_vertex_count_exit_4(self, capsys, tmp_path):
+        # A header alone: the size guardrail must fire before any n x n array.
+        graph_path = tmp_path / "g.el"
+        graph_path.write_text("200000 0\n")
+        code, _, err = run(capsys, "decompose", "--input", str(graph_path))
+        assert code == 4
+        assert "guardrail" in err
+        assert "200000 vertices" in err
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (UnknownTriangleError("transfer references a missing triangle"), 1, "internal error:"),
+            (EmptyGraphError("no edges"), 1, "internal error:"),
+            (EdgeInNoTriangleError(0, (0, 1)), 2, "infeasible:"),
+        ],
+    )
+    def test_library_error_exit_codes(self, capsys, monkeypatch, error, code, prefix):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "decompose", fail)
+        got, _, err = run(capsys, "decompose", "--gen", "complete", "--n", "5")
+        assert got == code
+        assert err.startswith(prefix)
 
     def test_float_mode(self, capsys):
         code, out, _ = run(
@@ -173,6 +203,11 @@ class TestGen:
     def test_bad_family(self, capsys):
         code, _, _ = run(capsys, "gen", "--family", "mystery", "--n", "4")
         assert code == 3
+
+    def test_huge_vertex_count_exit_4(self, capsys):
+        code, _, err = run(capsys, "gen", "--family", "complete", "--n", "200000")
+        assert code == 4
+        assert "guardrail" in err
 
 
 class TestScan:

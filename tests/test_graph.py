@@ -1,5 +1,6 @@
 """Graph construction, degree statistics, and enumeration against brute force."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tridecomp import kernels
-from tridecomp.errors import GraphConstructionError, LinkLimitError
+from tridecomp.errors import GraphConstructionError, GraphSizeError, LinkLimitError
 from tridecomp.graph import (
+    DENSE_BYTES_PER_CELL,
+    MAX_DENSE_BYTES,
+    check_dense_size,
     common_neighbors,
     degree_stats,
     enumerate_rooted_k4_links,
     enumerate_triangles,
+    from_edge_list,
     triangle_edge_ids,
     triangles_per_edge,
 )
@@ -66,6 +71,20 @@ class TestConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphConstructionError):
             make_graph([(2, 2)], 3)
+
+    def test_size_guardrail_boundary(self):
+        largest = math.isqrt(MAX_DENSE_BYTES // DENSE_BYTES_PER_CELL)
+        check_dense_size(largest)
+        with pytest.raises(GraphSizeError):
+            check_dense_size(largest + 1)
+
+    def test_size_guardrail_fires_before_reading_pairs(self):
+        def pairs():
+            raise AssertionError("pairs were read before the size check")
+            yield
+
+        with pytest.raises(GraphSizeError):
+            from_edge_list(pairs(), 200_000)
 
     def test_edge_ids_canonical(self):
         g = make_graph([(2, 1), (0, 2), (0, 1)], 3)

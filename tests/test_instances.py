@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from tridecomp.errors import InputFormatError
+from tridecomp import graph, instances
+from tridecomp.errors import GraphSizeError, InputFormatError
 from tridecomp.graph import enumerate_triangles, triangles_per_edge
 from tridecomp.instances import (
     GenSpec,
@@ -67,6 +68,26 @@ class TestFamilies:
             generate(GenSpec("random-min-degree", n=10, fraction=Fraction(3, 2)))
         with pytest.raises(ValueError):
             generate(GenSpec("complete-multipartite", parts=(3,)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec("complete", n=10),
+            GenSpec("complete-minus-hamilton", n=10),
+            GenSpec("random-min-degree", n=10, fraction=Fraction(4, 5)),
+            GenSpec("complete-multipartite", parts=(5, 5)),
+        ],
+    )
+    def test_size_guardrail_before_pairs(self, monkeypatch, spec):
+        # A cap below n=10; no family may list its vertex pairs first.
+        def no_pairs(*args):
+            raise AssertionError("vertex pairs listed before the size check")
+
+        monkeypatch.setattr(graph, "MAX_DENSE_BYTES", graph.DENSE_BYTES_PER_CELL * 81)
+        monkeypatch.setattr(instances, "combinations", no_pairs)
+        monkeypatch.setattr(instances, "_complete_multipartite", no_pairs)
+        with pytest.raises(GraphSizeError):
+            generate(spec)
 
 
 class TestPrng:

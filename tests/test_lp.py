@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from tridecomp import lp
 from tridecomp.decompose import CutCertificate, decompose
 from tridecomp.errors import LPSizeError
+from tridecomp.instances import GenSpec, generate
 from tridecomp.lp import lp_feasible
 from tridecomp.verify import verify
 
@@ -107,6 +108,57 @@ class TestTableauPaths:
         assert not lp_feasible(complete_minus_edge(4, (2, 3))).feasible
 
 
+def _verdict_under_stall_limit(g, limit):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_STALL_LIMIT", limit)
+        verdict = lp_feasible(g)
+    if verdict.feasible:
+        assert verify(g, verdict.decomposition).ok
+    return verdict.feasible
+
+
+INFEASIBLE_FIXTURES = {
+    "diamond": complete_minus_edge(4, (2, 3)),
+    "6-cycle": make_graph([(i, (i + 1) % 6) for i in range(6)], 6),
+    "path": make_graph([(0, 1), (1, 2)], 3),
+}
+
+
+class TestPivotRules:
+    # A stall limit of 0 is pure Bland; 2 switches rules inside degenerate runs.
+    @pytest.mark.parametrize("limit", [0, 2])
+    @pytest.mark.parametrize("name", sorted(INFEASIBLE_FIXTURES))
+    def test_infeasible_fixtures_agree(self, name, limit):
+        g = INFEASIBLE_FIXTURES[name]
+        assert not _verdict_under_stall_limit(g, limit)
+        assert not _verdict_under_stall_limit(g, lp._STALL_LIMIT)
+
+    @pytest.mark.parametrize("limit", [0, 2])
+    def test_random_graphs_agree(self, limit):
+        for seed in range(6):
+            g = random_bitmask_graph(9, seed=seed)
+            assert _verdict_under_stall_limit(g, limit) == _verdict_under_stall_limit(
+                g, lp._STALL_LIMIT
+            )
+
+    def test_pivot_count_regression(self, monkeypatch):
+        # Bland's rule alone takes 2.5k-4.1k pivots on instances of this size.
+        g = generate(GenSpec("random-min-degree", n=14, fraction=Fraction(4, 5), seed=0))
+        pivots = 0
+        pivot = lp._NumpyTableau.pivot
+
+        def counting_pivot(self, r, c):
+            nonlocal pivots
+            pivots += 1
+            pivot(self, r, c)
+
+        monkeypatch.setattr(lp._NumpyTableau, "pivot", counting_pivot)
+        verdict = lp_feasible(g)
+        assert verdict.feasible
+        assert verify(g, verdict.decomposition).ok
+        assert pivots < 600
+
+
 class TestAgreementWithFlow:
     def test_flow_success_implies_feasible(self):
         for seed in range(12):
@@ -136,3 +188,9 @@ def test_feasible_witnesses_always_verify(g):
     verdict = lp_feasible(g)
     if verdict.feasible:
         assert verify(g, verdict.decomposition).ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(graphs_strategy(max_n=6))
+def test_forced_bland_agrees(g):
+    assert _verdict_under_stall_limit(g, 0) == _verdict_under_stall_limit(g, lp._STALL_LIMIT)
