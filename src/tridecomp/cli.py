@@ -80,15 +80,26 @@ def _load_graph(args):
         seed=args.seed,
         parts=args.parts,
     )
+    return _generate(spec)
+
+
+def _generate(spec):
     try:
         return generate(spec)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 
 
+def _open_output(path):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_output(args, text):
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_output(args.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -156,17 +167,14 @@ def cmd_gen(args):
         seed=args.seed,
         parts=args.parts,
     )
-    try:
-        g = generate(spec)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    g = _generate(spec)
     _write_output(args, write_edge_list(g))
     return EXIT_OK
 
 
 def _scan_one(n, fraction, seed, mode, max_links, max_lp_triangles):
     """One trial row: generate, peel, flow, optional oracle cross-check."""
-    g = generate(GenSpec("random-min-degree", n=n, fraction=fraction, seed=seed))
+    g = _generate(GenSpec("random-min-degree", n=n, fraction=fraction, seed=seed))
     peel = peel_heavy_triangles(g)
     row = {
         "fraction": str(fraction),
@@ -209,6 +217,8 @@ def _scan_one(n, fraction, seed, mode, max_links, max_lp_triangles):
 
 
 def cmd_scan(args):
+    if args.samples < 1:
+        raise InputFormatError(f"--samples must be at least 1, got {args.samples}")
     fractions = args.fractions or []
     fieldnames = ["fraction", "n", "seed", "flow_ok", "lp_ok", "peeled", "M", "value"]
     rows = []
@@ -227,7 +237,7 @@ def cmd_scan(args):
             rows.append(row)
             ok += row["flow_ok"]
         success[fraction] = ok
-    out = sys.stdout if not args.out else open(args.out, "w")
+    out = sys.stdout if not args.out else _open_output(args.out)
     try:
         writer = csv.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()

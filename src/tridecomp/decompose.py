@@ -33,7 +33,7 @@ from .graph import (
     degree_stats,
     enumerate_rooted_k4_links,
     enumerate_triangles,
-    triangle_edge_ids,
+    triangles_per_edge,
 )
 from .maxflow import ArcNetwork, max_flow
 from .peeling import peel_heavy_triangles
@@ -44,20 +44,16 @@ FLOAT_EDGE_TOLERANCE = 1e-9
 FLOAT_WEIGHT_FLOOR = -1e-12
 
 
-def _triangle_counts(residual, triangles):
-    counts = np.zeros(residual.m, np.int64)
-    if triangles.shape[0]:
-        ids = triangle_edge_ids(residual, triangles)
-        counts += np.bincount(ids.ravel(), minlength=residual.m)
-    return counts
+def initial_weight(residual, triangles=None):
+    """The uniform starting weight m/(3t); every edge must lie in a triangle.
 
-
-def initial_weight(residual):
-    """The uniform starting weight m/(3t); every edge must lie in a triangle."""
+    `triangles`, when given, is `enumerate_triangles(residual)`.
+    """
     if residual.m == 0:
         raise EmptyGraphError("no edges, the decomposition is vacuous")
-    triangles = enumerate_triangles(residual)
-    counts = _triangle_counts(residual, triangles)
+    if triangles is None:
+        triangles = enumerate_triangles(residual)
+    counts = triangles_per_edge(residual, triangles)
     missing = np.nonzero(counts == 0)[0]
     if missing.size:
         e = int(missing[0])
@@ -181,22 +177,22 @@ class FlowNetwork:
         return net, (source_arcs, sink_arcs, link_base)
 
 
-def build_network(residual, uniform_weight, deficiency, max_links=DEFAULT_MAX_LINKS):
+def build_network(residual, uniform_weight, deficiency, max_links=DEFAULT_MAX_LINKS,
+                  triangles=None):
     """Assemble the auxiliary network for a residual graph.
 
     The deficiency is the one fixed from the original (pre-peeling) graph.
     Per-direction link capacity is 2w / (3(1-d)n); edges with triangle-weight
     sum above 1 become sources with the surplus as terminal capacity, those
     below 1 become sinks with the shortfall, exact balances are left off the
-    terminals entirely.
+    terminals entirely. `triangles`, when given, is
+    `enumerate_triangles(residual)`.
     """
     if not 0 <= deficiency < 1:
         raise ValueError(f"deficiency {deficiency} outside [0, 1)")
     n = residual.n
     capacity = 2 * uniform_weight / (3 * (1 - deficiency) * n)
-    adj_int = residual.adj.astype(np.int64)
-    commons = adj_int @ adj_int
-    counts = commons[residual.edge_u, residual.edge_v]
+    counts = triangles_per_edge(residual, triangles)
     source_excess = {}
     sink_deficit = {}
     for e, te in enumerate(counts.tolist()):
@@ -293,8 +289,11 @@ def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS,
     value. `mode="float"` switches the weight bookkeeping (not the flow
     computation, which is always exact) to float64 for large instances.
     """
-    uniform = initial_weight(residual)
-    network = build_network(residual, uniform, deficiency, max_links=max_links)
+    triangles = enumerate_triangles(residual)
+    uniform = initial_weight(residual, triangles=triangles)
+    network = build_network(
+        residual, uniform, deficiency, max_links=max_links, triangles=triangles
+    )
     arcnet, (source_arcs, sink_arcs, link_base) = network.to_arc_network()
     result = max_flow(arcnet)
     if result.value > network.required_flow:
@@ -316,7 +315,6 @@ def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS,
             if result.flow(arc) != network.sink_deficit[e]:
                 raise AssertionError(f"sink arc of edge {e} is unsaturated")
 
-    triangles = enumerate_triangles(residual)
     start = uniform if mode == "exact" else float(uniform)
     assignment = TriangleWeightAssignment.uniform(residual, triangles, start)
 

@@ -2,8 +2,8 @@
 
 Vertices are 0..n-1. Edges are the canonical pairs (u, v) with u < v, sorted
 lexicographically, and their position in that order is the edge id. Adjacency
-is kept both as a boolean matrix and as packed 64-bit rows so common-neighbor
-queries are word-parallel intersections.
+is a boolean matrix, so common-neighbor queries are vectorized row
+intersections.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .errors import GraphConstructionError, GraphSizeError, LinkLimitError
 
 DEFAULT_MAX_LINKS = 50_000_000
 
-# A Graph holds n x n bool and int32 matrices and builds a padded bool copy and
-# its uint64 widening on the way to the packed rows: about 14 bytes per cell.
+# A Graph holds n x n bool and int32 matrices, 5 bytes per cell. 14 bytes per
+# cell is a conservative bound that puts the exit-4 boundary at n > 8757.
 DENSE_BYTES_PER_CELL = 14
 MAX_DENSE_BYTES = 1 << 30
 
@@ -28,7 +28,7 @@ MAX_DENSE_BYTES = 1 << 30
 class Graph:
     """Immutable simple undirected graph over vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "bits", "edge_u", "edge_v", "eid", "degrees")
+    __slots__ = ("n", "adj", "edge_u", "edge_v", "eid", "degrees")
 
     def __init__(self, n, edge_u, edge_v):
         self.n = n
@@ -44,15 +44,7 @@ class Graph:
         eid[edge_v, edge_u] = ids
         self.eid = eid
         self.degrees = adj.sum(axis=1).astype(np.int64)
-        nw = max(1, (n + 63) // 64)
-        padded = np.zeros((n, nw * 64), np.bool_)
-        padded[:, :n] = adj
-        shifts = np.arange(64, dtype=np.uint64)
-        words = np.left_shift(
-            padded.reshape(n, nw, 64).astype(np.uint64), shifts
-        )
-        self.bits = np.bitwise_or.reduce(words, axis=2)
-        for arr in (self.adj, self.bits, self.edge_u, self.edge_v, self.eid, self.degrees):
+        for arr in (self.adj, self.edge_u, self.edge_v, self.eid, self.degrees):
             arr.setflags(write=False)
 
     @property
@@ -140,7 +132,7 @@ def common_neighbors(g, e):
 def enumerate_triangles(g):
     """Every triangle once, as an (t, 3) int32 array with rows (a, b, c), a<b<c,
     sorted lexicographically."""
-    return kernels.enumerate_triangle_array(g.bits, g.adj, g.edge_u, g.edge_v)
+    return kernels.enumerate_triangle_array(g.adj, g.edge_u, g.edge_v)
 
 
 class RootedK4Link(NamedTuple):
@@ -176,9 +168,7 @@ def enumerate_rooted_k4_links(g, max_links=DEFAULT_MAX_LINKS):
     Aborts with LinkLimitError instead of exhausting memory when the count
     would exceed `max_links` (link counts grow like n**4 on dense graphs).
     """
-    result = kernels.enumerate_link_arrays(
-        g.bits, g.adj, g.eid, g.edge_u, g.edge_v, g.n, max_links
-    )
+    result = kernels.enumerate_link_arrays(g.adj, g.eid, g.edge_u, g.edge_v, max_links)
     if result is None:
         raise LinkLimitError(max_links)
     e1, e2 = result

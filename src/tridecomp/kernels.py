@@ -1,205 +1,21 @@
 """Hot inner loops: triangle/K4-link enumeration and integer blocking-flow.
 
-Every kernel exists twice: a numba @njit version and a fallback without numba
-(vectorized numpy for the enumerations, plain Python integers for the flow
-kernel, which doubles as the arbitrary-precision path). The backend is chosen
-at import time from the TRIDECOMP_NUMBA environment variable ("0"/"off"
-forces the fallback, anything else auto-detects) and can be flipped at runtime
-through `set_use_numba` for benchmarking.
-
-Both backends emit bit-identical results in the same canonical order.
+The enumerations are vectorized numpy over the boolean adjacency matrix; the
+flow kernel is Dinic over plain Python integers, so capacities of any
+magnitude stay exact. Both enumerations emit their results in canonical order.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
+def enumerate_triangle_array(adj, edge_u, edge_v):
+    """All triangles as an (t, 3) int32 array in lexicographic order.
 
-_ENV = os.environ.get("TRIDECOMP_NUMBA", "auto").strip().lower()
-USE_NUMBA = HAVE_NUMBA and _ENV not in ("0", "off", "false", "no")
-
-# int64 Dinic is only used when every intermediate value provably fits.
-_INT64_SAFE_LIMIT = 1 << 62
-
-
-def set_use_numba(flag):
-    """Flip the backend at runtime (used by tests and the benchmark)."""
-    global USE_NUMBA
-    USE_NUMBA = bool(flag) and HAVE_NUMBA
-    return USE_NUMBA
-
-
-def _njit(func):
-    if HAVE_NUMBA:
-        return numba.njit(cache=True)(func)
-    return func
-
-
-_U1 = np.uint64(1)
-_U0 = np.uint64(0)
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-
-
-@_njit
-def _popcount64(x):
-    x = x - ((x >> _U1) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return np.int64((x * _H01) >> np.uint64(56))
-
-
-@_njit
-def _triangles_jit(bits, edge_u, edge_v, out):
-    # Canonical emission: edges scanned in id order, third vertex ascending,
-    # restricted to w > v so each triangle appears exactly once. When `out`
-    # is empty this is the counting pass.
-    nw = bits.shape[1]
-    fill = out.shape[0] > 0
-    count = 0
-    for k in range(edge_u.shape[0]):
-        u = edge_u[k]
-        v = edge_v[k]
-        for wi in range(v >> 6, nw):
-            x = bits[u, wi] & bits[v, wi]
-            while x != _U0:
-                low = x & (~x + _U1)
-                w = (wi << 6) + _popcount64(low - _U1)
-                x ^= low
-                if w > v:
-                    if fill:
-                        out[count, 0] = u
-                        out[count, 1] = v
-                        out[count, 2] = w
-                    count += 1
-    return count
-
-
-@_njit
-def _links_jit(bits, eid, edge_u, edge_v, cap, e1_out, e2_out, wbuf):
-    # One link per K4/opposite-pair: edge k pairs with every induced edge
-    # (a,b) inside its common neighborhood that has a larger edge id.
-    # Returns -1 as soon as the count would exceed `cap`.
-    nw = bits.shape[1]
-    fill = e1_out.shape[0] > 0
-    count = 0
-    for k in range(edge_u.shape[0]):
-        u = edge_u[k]
-        v = edge_v[k]
-        wn = 0
-        for wi in range(nw):
-            x = bits[u, wi] & bits[v, wi]
-            while x != _U0:
-                low = x & (~x + _U1)
-                wbuf[wn] = (wi << 6) + _popcount64(low - _U1)
-                wn += 1
-                x ^= low
-        for i in range(wn):
-            a = wbuf[i]
-            for j in range(i + 1, wn):
-                b = wbuf[j]
-                if (bits[a, b >> 6] >> np.uint64(b & 63)) & _U1 != _U0:
-                    e2 = eid[a, b]
-                    if e2 > k:
-                        if count >= cap:
-                            return -1
-                        if fill:
-                            e1_out[count] = k
-                            e2_out[count] = e2
-                        count += 1
-    return count
-
-
-@_njit
-def _dinic_jit(num_nodes, source, sink, slot_to, slot_cap, csr_ptr, csr_slot):
-    # Blocking-flow phases over paired residual slots (slot i ^ 1 is the
-    # reverse of slot i). slot_cap is mutated to the final residual.
-    level = np.empty(num_nodes, np.int64)
-    queue = np.empty(num_nodes, np.int64)
-    iters = np.empty(num_nodes, np.int64)
-    path = np.empty(num_nodes + 1, np.int64)
-    total = np.int64(0)
-    while True:
-        for i in range(num_nodes):
-            level[i] = -1
-        head = 0
-        tail = 0
-        queue[tail] = source
-        tail += 1
-        level[source] = 0
-        while head < tail:
-            v = queue[head]
-            head += 1
-            for p in range(csr_ptr[v], csr_ptr[v + 1]):
-                a = csr_slot[p]
-                w = slot_to[a]
-                if slot_cap[a] > 0 and level[w] < 0:
-                    level[w] = level[v] + 1
-                    queue[tail] = w
-                    tail += 1
-        if level[sink] < 0:
-            break
-        for i in range(num_nodes):
-            iters[i] = csr_ptr[i]
-        while True:
-            v = source
-            sp = 0
-            found = False
-            while True:
-                if v == sink:
-                    found = True
-                    break
-                advanced = False
-                while iters[v] < csr_ptr[v + 1]:
-                    a = csr_slot[iters[v]]
-                    w = slot_to[a]
-                    if slot_cap[a] > 0 and level[w] == level[v] + 1:
-                        path[sp] = a
-                        sp += 1
-                        v = w
-                        advanced = True
-                        break
-                    iters[v] += 1
-                if advanced:
-                    continue
-                level[v] = -2
-                if v == source:
-                    break
-                sp -= 1
-                a = path[sp]
-                v = slot_to[a ^ 1]
-                iters[v] += 1
-            if not found:
-                break
-            bottleneck = slot_cap[path[0]]
-            for i in range(1, sp):
-                c = slot_cap[path[i]]
-                if c < bottleneck:
-                    bottleneck = c
-            for i in range(sp):
-                a = path[i]
-                slot_cap[a] -= bottleneck
-                slot_cap[a ^ 1] += bottleneck
-            total += bottleneck
-    reach = np.zeros(num_nodes, np.bool_)
-    for i in range(num_nodes):
-        if level[i] >= 0:
-            reach[i] = True
-    return total, reach
-
-
-def _triangles_numpy(adj, edge_u, edge_v):
+    Edges are scanned in id order and the third vertex ascending, restricted
+    to w > v so each triangle appears exactly once.
+    """
     rows = []
     for k in range(edge_u.shape[0]):
         u = int(edge_u[k])
@@ -217,7 +33,13 @@ def _triangles_numpy(adj, edge_u, edge_v):
     return np.concatenate(rows)
 
 
-def _links_numpy(adj, eid, edge_u, edge_v, cap):
+def enumerate_link_arrays(adj, eid, edge_u, edge_v, max_links):
+    """Rooted-K4 link endpoints as two int32 edge-id arrays (e1 < e2), sorted.
+
+    One link per K4/opposite-pair: edge k pairs with every induced edge (a,b)
+    inside its common neighborhood that has a larger edge id. Returns None
+    when more than `max_links` links exist.
+    """
     e1_parts = []
     e2_parts = []
     count = 0
@@ -236,8 +58,8 @@ def _links_numpy(adj, eid, edge_u, edge_v, cap):
         if partner.size == 0:
             continue
         count += partner.size
-        if count > cap:
-            return None, None
+        if count > max_links:
+            return None
         e1_parts.append(np.full(partner.size, k, np.int32))
         e2_parts.append(partner.astype(np.int32))
     if not e1_parts:
@@ -245,47 +67,9 @@ def _links_numpy(adj, eid, edge_u, edge_v, cap):
     return np.concatenate(e1_parts), np.concatenate(e2_parts)
 
 
-def enumerate_triangle_array(bits, adj, edge_u, edge_v):
-    """All triangles as an (t, 3) int32 array in lexicographic order."""
-    if edge_u.shape[0] == 0:
-        return np.empty((0, 3), np.int32)
-    if USE_NUMBA:
-        empty = np.empty((0, 3), np.int32)
-        t = _triangles_jit(bits, edge_u, edge_v, empty)
-        out = np.empty((t, 3), np.int32)
-        if t:
-            _triangles_jit(bits, edge_u, edge_v, out)
-        return out
-    return _triangles_numpy(adj, edge_u, edge_v)
-
-
-def enumerate_link_arrays(bits, adj, eid, edge_u, edge_v, n, max_links):
-    """Rooted-K4 link endpoints as two int32 edge-id arrays (e1 < e2), sorted.
-
-    Returns None when more than `max_links` links exist.
-    """
-    if edge_u.shape[0] == 0:
-        return np.empty(0, np.int32), np.empty(0, np.int32)
-    if USE_NUMBA:
-        empty = np.empty(0, np.int32)
-        wbuf = np.empty(n, np.int64)
-        count = _links_jit(bits, eid, edge_u, edge_v, max_links, empty, empty, wbuf)
-        if count < 0:
-            return None
-        e1 = np.empty(count, np.int32)
-        e2 = np.empty(count, np.int32)
-        if count:
-            _links_jit(bits, eid, edge_u, edge_v, max_links, e1, e2, wbuf)
-        return e1, e2
-    e1, e2 = _links_numpy(adj, eid, edge_u, edge_v, max_links)
-    if e1 is None:
-        return None
-    return e1, e2
-
-
 def _dinic_python(num_nodes, source, sink, slot_to, slot_cap, csr_ptr, csr_slot):
-    # Same traversal order as the jit kernel, but over Python ints so that
-    # capacities of any magnitude stay exact.
+    # Blocking-flow phases over paired residual slots (slot i ^ 1 is the
+    # reverse of slot i). slot_cap is mutated to the final residual.
     total = 0
     level = [0] * num_nodes
     while True:
@@ -347,8 +131,7 @@ def max_flow_int(num_nodes, source, sink, tails, heads, caps):
     """Exact integer max flow; returns (value, per-arc flows, source-side mask).
 
     Arc i becomes residual slots 2i (forward, capacity caps[i]) and 2i+1
-    (reverse, capacity 0). The numba path runs when enabled and every value
-    provably fits in int64; otherwise the Python-int path runs.
+    (reverse, capacity 0).
     """
     num_arcs = len(tails)
     if num_arcs == 0:
@@ -357,40 +140,26 @@ def max_flow_int(num_nodes, source, sink, tails, heads, caps):
         return 0, [], reach
 
     slot_tail = np.empty(2 * num_arcs, np.int64)
-    slot_to_np = np.empty(2 * num_arcs, np.int64)
+    slot_to = np.empty(2 * num_arcs, np.int64)
     slot_tail[0::2] = tails
     slot_tail[1::2] = heads
-    slot_to_np[0::2] = heads
-    slot_to_np[1::2] = tails
+    slot_to[0::2] = heads
+    slot_to[1::2] = tails
     order = np.argsort(slot_tail, kind="stable")
     counts = np.bincount(slot_tail, minlength=num_nodes)
     csr_ptr = np.zeros(num_nodes + 1, np.int64)
     np.cumsum(counts, out=csr_ptr[1:])
-    csr_slot = order.astype(np.int64)
-
-    total_cap = sum(caps)
-    int64_ok = total_cap < _INT64_SAFE_LIMIT
-    if USE_NUMBA and int64_ok:
-        caps_np = np.asarray(caps, dtype=np.int64)
-        slot_cap = np.zeros(2 * num_arcs, np.int64)
-        slot_cap[0::2] = caps_np
-        value, reach = _dinic_jit(
-            num_nodes, source, sink, slot_to_np, slot_cap, csr_ptr, csr_slot
-        )
-        flows = (caps_np - slot_cap[0::2]).tolist()
-        return int(value), flows, reach.tolist()
 
     slot_cap = [0] * (2 * num_arcs)
-    for i in range(num_arcs):
-        slot_cap[2 * i] = int(caps[i])
+    slot_cap[0::2] = caps
     value, reach = _dinic_python(
         num_nodes,
         source,
         sink,
-        [int(x) for x in slot_to_np],
+        slot_to.tolist(),
         slot_cap,
-        [int(x) for x in csr_ptr],
-        [int(x) for x in csr_slot],
+        csr_ptr.tolist(),
+        order.tolist(),
     )
-    flows = [int(caps[i]) - slot_cap[2 * i] for i in range(num_arcs)]
+    flows = [c - r for c, r in zip(caps, slot_cap[0::2])]
     return value, flows, reach

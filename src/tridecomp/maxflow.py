@@ -1,10 +1,9 @@
 """Exact maximum flow over rational capacities with minimum-cut extraction.
 
 Capacities are scaled once by the lcm of their denominators, the blocking-flow
-phases then run over integers (numba when everything fits in int64, Python
-ints otherwise), and flows come back as exact rationals over that common
-denominator. Phase count is bounded by the node count, so termination does
-not depend on capacity values.
+phases then run over Python integers, and flows come back as exact rationals
+over that common denominator. Phase count is bounded by the node count, so
+termination does not depend on capacity values.
 """
 
 from __future__ import annotations

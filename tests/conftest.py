@@ -97,19 +97,6 @@ def edge_weight_sums(g, entries):
     return sums
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jit kernels once so timed tests measure the algorithms."""
-    from tridecomp import kernels
-    from tridecomp.graph import enumerate_rooted_k4_links, enumerate_triangles
-
-    g = complete_graph(5)
-    enumerate_triangles(g)
-    enumerate_rooted_k4_links(g)
-    kernels.max_flow_int(2, 0, 1, [0], [1], [1])
-    yield
-
-
 @pytest.fixture
 def k4():
     return complete_graph(4)

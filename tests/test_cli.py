@@ -209,6 +209,12 @@ class TestGen:
         assert code == 4
         assert "guardrail" in err
 
+    def test_unwritable_out_exit_3(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, _, err = run(capsys, "gen", "--family", "complete", "--n", "5", "--out", str(target))
+        assert code == 3
+        assert err.startswith("input error:")
+
 
 class TestScan:
     def test_empty_grid(self, capsys):
@@ -248,3 +254,26 @@ class TestScan:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "0", "--fractions", "9/10"),
+            ("--n", "12", "--fractions", "2"),
+            ("--n", "12", "--fractions", "9/10", "--samples", "-1"),
+            ("--n", "12", "--fractions", "9/10", "--samples", "0"),
+        ],
+    )
+    def test_bad_input_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, "scan", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("input error:")
+
+    def test_unwritable_out_exit_3(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, _, err = run(
+            capsys, "scan", "--n", "8", "--fractions", "1", "--samples", "1", "--out", str(target)
+        )
+        assert code == 3
+        assert err.startswith("input error:")

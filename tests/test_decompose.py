@@ -1,10 +1,12 @@
 """Decomposer pipeline: weights, network shape, transfers, full solves."""
 
+import importlib
 import warnings
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from tridecomp.decompose import (
     CutCertificate,
@@ -26,17 +28,24 @@ from tridecomp.errors import (
     RegimeWarning,
     UnknownTriangleError,
 )
-from tridecomp.graph import RootedK4Link, degree_stats, enumerate_triangles
+from tridecomp.graph import (
+    RootedK4Link,
+    degree_stats,
+    enumerate_triangles,
+    triangles_per_edge,
+)
 from tridecomp.maxflow import max_flow
 from tridecomp.verify import verify
 
 from conftest import (
+    brute_edge_triangle_count,
     brute_min_cut,
     brute_triangles,
     complete_graph,
     complete_minus_hamilton,
     make_graph,
 )
+from test_graph import graphs_strategy
 
 
 class TestInitialWeight:
@@ -98,6 +107,22 @@ class TestBuildNetwork:
     def test_bad_deficiency_rejected(self, k4):
         with pytest.raises(ValueError):
             build_network(k4, initial_weight(k4), Fraction(3, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_strategy())
+    def test_terminal_capacities_match_brute_force(self, g):
+        brute = [brute_edge_triangle_count(g, *g.endpoints(e)) for e in range(g.m)]
+        assert triangles_per_edge(g).tolist() == brute
+        if sum(brute) == 0:
+            return
+        # sum(T_e) = 3t, so this is the uniform weight m/(3t); the deficiency
+        # only scales the link capacity, which this test does not inspect.
+        w = Fraction(g.m, sum(brute))
+        net = build_network(g, w, Fraction(0))
+        for e, te in enumerate(brute):
+            load = te * w
+            assert net.source_excess.get(e, 0) == max(load - 1, 0)
+            assert net.sink_deficit.get(e, 0) == max(1 - load, 0)
 
 
 class TestApplyTransfer:
@@ -206,6 +231,23 @@ class TestSolve:
         for e in range(g.m):
             assert assignment.edge_weight(*g.endpoints(e)) == 1
         assert all(w >= 0 for w in assignment.weights.values())
+
+    def test_enumerates_triangles_once(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return enumerate_triangles(g)
+
+        # The package attribute `tridecomp.decompose` is the function.
+        module = importlib.import_module("tridecomp.decompose")
+        monkeypatch.setattr(module, "enumerate_triangles", counting)
+        # n=13 is the smallest n whose flow saturates, so solve runs to the
+        # weight assignment instead of stopping at a cut certificate.
+        g = complete_minus_hamilton(13)
+        assignment = solve(g, degree_stats(g).deficiency)
+        assert isinstance(assignment, TriangleWeightAssignment)
+        assert len(calls) == 1
 
     def test_float_mode(self):
         g = complete_minus_hamilton(20)

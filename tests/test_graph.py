@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tridecomp import kernels
 from tridecomp.errors import GraphConstructionError, GraphSizeError, LinkLimitError
 from tridecomp.graph import (
     DENSE_BYTES_PER_CELL,
@@ -91,14 +90,6 @@ class TestConstruction:
         assert g.edge_pairs() == [(0, 1), (0, 2), (1, 2)]
         assert g.edge_id(1, 0) == 0
         assert g.endpoints(2) == (1, 2)
-
-    def test_packed_bits_match_adjacency(self):
-        g = random_bitmask_graph(70, seed=3)
-        for v in range(g.n):
-            row = np.zeros(g.n, np.bool_)
-            for w in range(g.n):
-                row[w] = bool(g.bits[v, w >> 6] >> np.uint64(w & 63) & np.uint64(1))
-            assert (row == g.adj[v]).all()
 
 
 class TestDegreeStats:
@@ -253,26 +244,6 @@ class TestCountingBounds:
         for e in range(g.m):
             te = Fraction(int(counts[e]))
             assert per_edge_k4[e] >= te * (te - dn) / 2
-
-
-class TestBackendParity:
-    def test_numpy_backend_matches(self):
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable, only one backend")
-        g = random_bitmask_graph(13, seed=5)
-        prior = kernels.USE_NUMBA
-        try:
-            kernels.set_use_numba(True)
-            tris_jit = enumerate_triangles(g)
-            links_jit = enumerate_rooted_k4_links(g)
-            kernels.set_use_numba(False)
-            tris_np = enumerate_triangles(g)
-            links_np = enumerate_rooted_k4_links(g)
-        finally:
-            kernels.set_use_numba(prior)
-        assert (tris_jit == tris_np).all()
-        assert (links_jit.e1 == links_np.e1).all()
-        assert (links_jit.e2 == links_np.e2).all()
 
 
 def test_triangle_edge_ids(k4):

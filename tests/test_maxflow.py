@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tridecomp import kernels
 from tridecomp.maxflow import ArcNetwork, flow_violation, max_flow, verify_flow
 
 from conftest import brute_min_cut
@@ -131,23 +130,6 @@ class TestAgainstBruteForce:
             )
             assert res.value == expected
             assert verify_flow(network, res)
-
-    def test_backend_parity(self):
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable, only one backend")
-        prior = kernels.USE_NUMBA
-        try:
-            for num_nodes, arcs, source, sink in random_network_cases(50, seed=77):
-                network = ArcNetwork.from_triples(num_nodes, arcs, source, sink)
-                kernels.set_use_numba(True)
-                jit = max_flow(network)
-                kernels.set_use_numba(False)
-                pure = max_flow(network)
-                assert jit.value == pure.value
-                assert jit.flows_scaled == pure.flows_scaled
-                assert jit.source_side == pure.source_side
-        finally:
-            kernels.set_use_numba(prior)
 
 
 @st.composite
