@@ -221,24 +221,25 @@ def cmd_scan(args):
         raise InputFormatError(f"--samples must be at least 1, got {args.samples}")
     fractions = args.fractions or []
     fieldnames = ["fraction", "n", "seed", "flow_ok", "lp_ok", "peeled", "M", "value"]
-    rows = []
-    success = {}
-    for fraction in fractions:
-        ok = 0
-        for sample in range(args.samples):
-            row = _scan_one(
-                args.n,
-                fraction,
-                args.seed + sample,
-                args.mode,
-                args.max_links,
-                args.max_lp_triangles,
-            )
-            rows.append(row)
-            ok += row["flow_ok"]
-        success[fraction] = ok
+    # Opened before the first trial, so a bad path fails before any work.
     out = sys.stdout if not args.out else _open_output(args.out)
     try:
+        rows = []
+        success = {}
+        for fraction in fractions:
+            ok = 0
+            for sample in range(args.samples):
+                row = _scan_one(
+                    args.n,
+                    fraction,
+                    args.seed + sample,
+                    args.mode,
+                    args.max_links,
+                    args.max_lp_triangles,
+                )
+                rows.append(row)
+                ok += row["flow_ok"]
+            success[fraction] = ok
         writer = csv.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)

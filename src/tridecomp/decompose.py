@@ -10,10 +10,19 @@ go negative; edges whose weight sum starts above 1 attach to a supersource,
 those below 1 to a supersink. A saturating flow yields the decomposition; a
 deficient max flow yields a minimum-cut certificate that this method (not
 necessarily the LP) fails on the instance.
+
+Arithmetic: every capacity of the network is an integer over one shared
+denominator D, the lcm of the denominators of w and of the link capacity.
+Triangle weights are integer numerators over 2D, so a flow f/D across a link
+moves exactly f on each of its four triangles. Both are numpy int64 arrays
+when a bound proven from the inputs keeps every value and partial sum below
+2**62, and object arrays of Python ints otherwise. Fractions (or, in float
+mode, correctly rounded floats) are made only when the weights are read out.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +52,14 @@ REGIME_LIMIT = Fraction(1, 10)
 FLOAT_EDGE_TOLERANCE = 1e-9
 FLOAT_WEIGHT_FLOOR = -1e-12
 
+# int64 arithmetic is used only where every value stays below this bound.
+_INT64_LIMIT = 1 << 62
+
+
+def _int_dtype(bound):
+    """int64 when no value or partial sum reaches `bound`, else Python ints."""
+    return np.int64 if bound < _INT64_LIMIT else object
+
 
 def initial_weight(residual, triangles=None):
     """The uniform starting weight m/(3t); every edge must lie in a triangle.
@@ -62,80 +79,112 @@ def initial_weight(residual, triangles=None):
 
 
 class TriangleWeightAssignment:
-    """Evolving map from every triangle of the host graph to its weight."""
+    """Triangle weights as integer numerators over one shared denominator.
 
-    def __init__(self, graph, weights):
+    Row i of `triangles` (sorted lexicographically, as `enumerate_triangles`
+    returns them) has weight numerators[i] / denominator. The readers
+    `items()`, `total()` and `edge_weight()` return Fractions, or correctly
+    rounded floats when `mode` is "float".
+    """
+
+    def __init__(self, graph, triangles, numerators, denominator, mode="exact"):
         self.graph = graph
-        self.weights = weights
+        self.triangles = triangles
+        self.numerators = numerators
+        self.denominator = denominator
+        self.mode = mode
         # Set by solve(): the flow value that was required and achieved.
         self.required_flow = None
 
-    @classmethod
-    def uniform(cls, graph, triangles, weight):
-        return cls(graph, {tuple(row): weight for row in triangles.tolist()})
-
-    def __len__(self):
-        return len(self.weights)
+    def _weight(self, numerator):
+        if self.mode == "exact":
+            return Fraction(numerator, self.denominator)
+        return numerator / self.denominator
 
     def total(self):
-        return sum(self.weights.values())
+        return self._weight(sum(self.numerators.tolist()))
 
     def edge_weight(self, u, v):
         """Sum of the weights of the triangles containing edge (u, v)."""
-        g = self.graph
-        g.edge_id(u, v)
-        total = 0
-        for w in np.nonzero(g.adj[u] & g.adj[v])[0].tolist():
-            total += self.weights[tuple(sorted((u, v, w)))]
-        return total
+        self.graph.edge_id(u, v)
+        tris = self.triangles
+        rows = (tris == u).any(axis=1) & (tris == v).any(axis=1)
+        return self._weight(sum(self.numerators[rows].tolist()))
 
     def items(self):
-        return self.weights.items()
+        weight = self._weight
+        return [
+            (tuple(tri), weight(x))
+            for tri, x in zip(self.triangles.tolist(), self.numerators.tolist())
+        ]
 
 
-def apply_transfer(assignment, link, net_flow, direction="e1->e2"):
-    """Move `net_flow` of edge weight across a rooted-K4 link.
+def _triangle_keys(rows, n):
+    """One int64 key per sorted vertex triple, ordered as the triples are."""
+    rows = rows.astype(np.int64)
+    return (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]
 
-    Sending f from e1 to e2 subtracts f/2 from each of the two K4 triangles
-    containing e1 and adds f/2 to each of the two containing e2; only the
-    weights of e1 and e2 change (by -f and +f), every other edge keeps its
-    sum because each remaining K4 edge lies in one losing and one gaining
-    triangle. The caller is responsible for |net_flow| <= link capacity.
+
+def apply_transfer(assignment, links, net_flows):
+    """Move net_flows[i] of edge weight across link i, from e1 to e2.
+
+    Flows are integer numerators over half the assignment's denominator; a
+    negative flow moves weight from e2 to e1. Sending f from e1 to e2
+    subtracts f/2 from each of the two K4 triangles containing e1 and adds
+    f/2 to each of the two containing e2; only the weights of e1 and e2
+    change (by -f and +f), every other edge keeps its sum because each
+    remaining K4 edge lies in one losing and one gaining triangle. The
+    caller is responsible for |net_flows[i]| <= link capacity.
     """
+    nums = assignment.numerators
+    flows = np.asarray(net_flows, dtype=nums.dtype)
+    moving = np.flatnonzero(flows)
+    flows = flows[moving]
     g = assignment.graph
-    p, q = g.endpoints(link.e1)
-    r, s = g.endpoints(link.e2)
-    if direction == "e1->e2":
-        (sa, sb), (da, db) = (p, q), (r, s)
-    elif direction == "e2->e1":
-        (sa, sb), (da, db) = (r, s), (p, q)
-    else:
-        raise ValueError(f"direction must be 'e1->e2' or 'e2->e1', got {direction!r}")
-    half = net_flow / 2
-    weights = assignment.weights
-    try:
-        for w in (da, db):
-            weights[tuple(sorted((sa, sb, w)))] -= half
-        for w in (sa, sb):
-            weights[tuple(sorted((da, db, w)))] += half
-    except KeyError as exc:
-        raise UnknownTriangleError(
-            f"transfer references triangle {exc.args[0]} missing from the assignment"
-        ) from exc
+    # The sentinel n**3 exceeds every key, so a missing triangle never
+    # indexes past the end.
+    keys = np.append(_triangle_keys(assignment.triangles, g.n), g.n**3)
+
+    def rows(a, b, c):
+        triples = np.sort(np.stack([a, b, c], axis=1), axis=1)
+        wanted = _triangle_keys(triples, g.n)
+        found = np.searchsorted(keys, wanted)
+        missing = np.flatnonzero(keys[found] != wanted)
+        if missing.size:
+            raise UnknownTriangleError(
+                f"transfer references triangle {tuple(triples[missing[0]].tolist())} "
+                "missing from the assignment"
+            )
+        return found
+
+    e1 = links.e1[moving]
+    e2 = links.e2[moving]
+    p, q = g.edge_u[e1], g.edge_v[e1]
+    r, s = g.edge_u[e2], g.edge_v[e2]
+    for third in (r, s):
+        np.add.at(nums, rows(p, q, third), -flows)
+    for third in (p, q):
+        np.add.at(nums, rows(r, s, third), flows)
     return assignment
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """The auxiliary network: residual edges as nodes plus two terminals."""
+    """The auxiliary network: residual edges as nodes plus two terminals.
+
+    Capacities are integers over `denominator`: terminals[e] is T_e*w - 1
+    for edge e (positive: a supersource arc with that surplus, negative: a
+    supersink arc with the shortfall, zero: no terminal arc), and every link
+    carries `link_capacity` in each direction.
+    """
 
     residual: Graph
     uniform_weight: Fraction
     deficiency: Fraction
-    link_capacity: Fraction
+    denominator: int
+    link_capacity: int
     links: object
-    source_excess: dict
-    sink_deficit: dict
+    terminals: np.ndarray
     required_flow: Fraction
 
     @property
@@ -147,34 +196,40 @@ class FlowNetwork:
         return self.residual.m + 1
 
     def to_arc_network(self):
-        """Solver form plus the arc layout (terminal arc ids, link arc base)."""
-        tails, heads, caps = [], [], []
-        source_arcs = {}
-        sink_arcs = {}
-        for e in sorted(self.source_excess):
-            source_arcs[e] = len(tails)
-            tails.append(self.supersource)
-            heads.append(e)
-            caps.append(self.source_excess[e])
-        for e in sorted(self.sink_deficit):
-            sink_arcs[e] = len(tails)
-            tails.append(e)
-            heads.append(self.supersink)
-            caps.append(self.sink_deficit[e])
-        link_base = len(tails)
-        e1s = self.links.e1.tolist()
-        e2s = self.links.e2.tolist()
-        for a, b in zip(e1s, e2s):
-            tails.append(a)
-            heads.append(b)
-            caps.append(self.link_capacity)
-            tails.append(b)
-            heads.append(a)
-            caps.append(self.link_capacity)
-        net = ArcNetwork(
-            self.residual.m + 2, tails, heads, caps, self.supersource, self.supersink
+        """Solver form plus the id of the first link arc.
+
+        Arcs: supersource -> e for each source edge, then e -> supersink for
+        each sink edge (both by edge id), then e1 -> e2 and e2 -> e1 per link.
+        Every arc before the first link arc is a terminal arc.
+        """
+        terminals = self.terminals
+        sources = np.flatnonzero(terminals > 0)
+        sinks = np.flatnonzero(terminals < 0)
+        e1 = self.links.e1.astype(np.int64)
+        e2 = self.links.e2.astype(np.int64)
+        tails = np.concatenate(
+            [np.full(sources.size, self.supersource), sinks, np.stack([e1, e2], axis=1).ravel()]
         )
-        return net, (source_arcs, sink_arcs, link_base)
+        heads = np.concatenate(
+            [sources, np.full(sinks.size, self.supersink), np.stack([e2, e1], axis=1).ravel()]
+        )
+        caps = np.concatenate(
+            [
+                terminals[sources],
+                -terminals[sinks],
+                np.full(2 * e1.size, self.link_capacity, dtype=terminals.dtype),
+            ]
+        )
+        net = ArcNetwork(
+            self.residual.m + 2,
+            tails,
+            heads,
+            caps,
+            self.supersource,
+            self.supersink,
+            self.denominator,
+        )
+        return net, sources.size + sinks.size
 
 
 def build_network(residual, uniform_weight, deficiency, max_links=DEFAULT_MAX_LINKS,
@@ -185,39 +240,34 @@ def build_network(residual, uniform_weight, deficiency, max_links=DEFAULT_MAX_LI
     Per-direction link capacity is 2w / (3(1-d)n); edges with triangle-weight
     sum above 1 become sources with the surplus as terminal capacity, those
     below 1 become sinks with the shortfall, exact balances are left off the
-    terminals entirely. `triangles`, when given, is
+    terminals entirely. All capacities share the denominator lcm of those of
+    w and the link capacity. `triangles`, when given, is
     `enumerate_triangles(residual)`.
     """
     if not 0 <= deficiency < 1:
         raise ValueError(f"deficiency {deficiency} outside [0, 1)")
-    n = residual.n
-    capacity = 2 * uniform_weight / (3 * (1 - deficiency) * n)
+    capacity = 2 * uniform_weight / (3 * (1 - deficiency) * residual.n)
+    denominator = math.lcm(uniform_weight.denominator, capacity.denominator)
+    weight = uniform_weight.numerator * (denominator // uniform_weight.denominator)
+    link_capacity = capacity.numerator * (denominator // capacity.denominator)
     counts = triangles_per_edge(residual, triangles)
-    source_excess = {}
-    sink_deficit = {}
-    for e, te in enumerate(counts.tolist()):
-        load = te * uniform_weight
-        if load > 1:
-            source_excess[e] = load - 1
-        elif load < 1:
-            sink_deficit[e] = 1 - load
-    required = sum(source_excess.values(), Fraction(0))
-    deficit_total = sum(sink_deficit.values(), Fraction(0))
-    if required != deficit_total:
-        raise AssertionError(
-            f"source/sink imbalance {required} vs {deficit_total}; "
-            "the uniform weight is not m/(3t)"
-        )
+    # The loads T_e*w sum to m, so |T_e*w - 1| <= m, and the surpluses (and
+    # the shortfalls) sum to at most m.
+    dtype = _int_dtype(max(residual.m * denominator, link_capacity))
+    terminals = counts.astype(dtype) * weight - denominator
+    if terminals.sum() != 0:
+        raise AssertionError("source/sink imbalance; the uniform weight is not m/(3t)")
+    required = int(terminals[terminals > 0].sum())
     links = enumerate_rooted_k4_links(residual, max_links)
     return FlowNetwork(
         residual=residual,
         uniform_weight=uniform_weight,
         deficiency=deficiency,
-        link_capacity=capacity,
+        denominator=denominator,
+        link_capacity=link_capacity,
         links=links,
-        source_excess=source_excess,
-        sink_deficit=sink_deficit,
-        required_flow=required,
+        terminals=terminals,
+        required_flow=Fraction(required, denominator),
     )
 
 
@@ -244,108 +294,52 @@ class Decomposition:
     def total(self):
         return sum(w for _, w in self.entries)
 
-    def weight_of(self, triangle):
-        for tri, w in self.entries:
-            if tri == triangle:
-                return w
-        return None
 
-
-class _ConservationMonitor:
-    """Recomputes the full triangle-weight total against m/3 during transfers.
-
-    Checks after every transfer while the running cost stays small, then
-    samples every 64th transfer plus a final check on large instances.
-    """
-
-    def __init__(self, assignment, expected, transfers):
-        self.assignment = assignment
-        self.expected = expected
-        self.count = 0
-        self.every = 1 if len(assignment) * max(transfers, 1) <= 2_000_000 else 64
-
-    def after_transfer(self):
-        self.count += 1
-        if self.count % self.every == 0:
-            self._check()
-
-    def finish(self):
-        self._check()
-
-    def _check(self):
-        total = self.assignment.total()
-        if total != self.expected:
-            raise AssertionError(
-                f"total triangle weight {total} drifted from {self.expected}"
-            )
-
-
-def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS,
-          instrument=False):
+def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS):
     """Redistribute uniform weights on a peeled residual graph.
 
     Returns a TriangleWeightAssignment in which every edge weight equals
     exactly 1, or a CutCertificate when the max flow misses the required
-    value. `mode="float"` switches the weight bookkeeping (not the flow
-    computation, which is always exact) to float64 for large instances.
+    value. The flow and the transfers are always exact; `mode="float"` only
+    makes the assignment's items() floats.
     """
     triangles = enumerate_triangles(residual)
     uniform = initial_weight(residual, triangles=triangles)
     network = build_network(
         residual, uniform, deficiency, max_links=max_links, triangles=triangles
     )
-    arcnet, (source_arcs, sink_arcs, link_base) = network.to_arc_network()
+    arcnet, link_base = network.to_arc_network()
     result = max_flow(arcnet)
     if result.value > network.required_flow:
         raise AssertionError("flow value exceeds the supersource cut capacity")
     if result.value < network.required_flow:
-        m = residual.m
-        edges = [e for e in range(m) if result.source_side[e]]
         return CutCertificate(
-            source_side_edges=edges,
+            source_side_edges=np.flatnonzero(result.source_side[: residual.m]).tolist(),
             cut_capacity=result.value,
             required_flow=network.required_flow,
         )
+    if result.flows_scaled[:link_base] != arcnet.capacities[:link_base].tolist():
+        raise AssertionError("a terminal arc is unsaturated at the required flow")
 
-    if instrument:
-        for e, arc in source_arcs.items():
-            if result.flow(arc) != network.source_excess[e]:
-                raise AssertionError(f"source arc of edge {e} is unsaturated")
-        for e, arc in sink_arcs.items():
-            if result.flow(arc) != network.sink_deficit[e]:
-                raise AssertionError(f"sink arc of edge {e} is unsaturated")
-
-    start = uniform if mode == "exact" else float(uniform)
-    assignment = TriangleWeightAssignment.uniform(residual, triangles, start)
-
-    flows = result.flows_scaled
-    denom = result.denominator
-    nets = []
-    for i in range(len(network.links)):
-        delta = flows[link_base + 2 * i] - flows[link_base + 2 * i + 1]
-        if delta:
-            nets.append((i, delta))
-
-    monitor = None
-    if instrument and mode == "exact":
-        monitor = _ConservationMonitor(assignment, Fraction(residual.m, 3), len(nets))
-
-    for i, delta in nets:
-        link = network.links.link(i)
-        amount = Fraction(abs(delta), denom)
-        if mode != "exact":
-            amount = abs(delta) / denom
-        direction = "e1->e2" if delta > 0 else "e2->e1"
-        apply_transfer(assignment, link, amount, direction)
-        if monitor is not None:
-            monitor.after_transfer()
-    if monitor is not None:
-        monitor.finish()
+    # Weights are numerators over 2D, so a flow f/D moves f on each of the
+    # four triangles of its link. A triangle lies in at most n - 3 K4s and
+    # in 3 links of each, and a link moves at most its capacity, which
+    # bounds every numerator and every partial sum.
+    denominator = 2 * network.denominator
+    start = uniform.numerator * (denominator // uniform.denominator)
+    dtype = _int_dtype(start + 3 * (residual.n - 3) * network.link_capacity)
+    assignment = TriangleWeightAssignment(
+        residual, triangles, np.full(len(triangles), start, dtype), denominator, mode
+    )
+    link_flows = np.array(result.flows_scaled[link_base:], dtype)
+    apply_transfer(assignment, network.links, link_flows[0::2] - link_flows[1::2])
+    if 3 * sum(assignment.numerators.tolist()) != residual.m * denominator:
+        raise AssertionError("total triangle weight drifted from m/3")
     assignment.required_flow = network.required_flow
     return assignment
 
 
-def decompose(g, mode="exact", max_links=DEFAULT_MAX_LINKS, instrument=False):
+def decompose(g, mode="exact", max_links=DEFAULT_MAX_LINKS):
     """Full pipeline on an arbitrary graph; peeled triangles carry weight one."""
     one = Fraction(1) if mode == "exact" else 1.0
     if g.m == 0:
@@ -361,13 +355,7 @@ def decompose(g, mode="exact", max_links=DEFAULT_MAX_LINKS, instrument=False):
     peel = peel_heavy_triangles(g)
     entries = [(tri, one) for tri in peel.removed]
     if peel.residual.m > 0:
-        outcome = solve(
-            peel.residual,
-            peel.deficiency,
-            mode=mode,
-            max_links=max_links,
-            instrument=instrument,
-        )
+        outcome = solve(peel.residual, peel.deficiency, mode=mode, max_links=max_links)
         if isinstance(outcome, CutCertificate):
             return outcome
         entries.extend(outcome.items())

@@ -63,9 +63,6 @@ class Graph:
     def endpoints(self, e):
         return int(self.edge_u[e]), int(self.edge_v[e])
 
-    def neighbors(self, v):
-        return np.nonzero(self.adj[v])[0]
-
     def edge_pairs(self):
         """Canonical (u, v) pairs in edge-id order."""
         return list(zip(self.edge_u.tolist(), self.edge_v.tolist()))

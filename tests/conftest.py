@@ -88,6 +88,23 @@ def brute_min_cut(num_nodes, tails, heads, caps, source, sink):
     return best
 
 
+def reference_transfer(g, triangles, weight, links, net_flows):
+    """Triangle weights after moving net_flows[i] (a Fraction) across link i.
+
+    The per-link algorithm over a dict keyed by sorted vertex triples: start
+    every triangle at `weight`, then for each link with e1 = (p, q) and
+    e2 = (r, s) take f/2 from pqr and pqs and give it to rsp and rsq.
+    """
+    weights = {tuple(tri): weight for tri in triangles}
+    for e1, e2, f in zip(links.e1.tolist(), links.e2.tolist(), net_flows):
+        (p, q), (r, s) = g.endpoints(e1), g.endpoints(e2)
+        for x in (r, s):
+            weights[tuple(sorted((p, q, x)))] -= f / 2
+        for x in (p, q):
+            weights[tuple(sorted((r, s, x)))] += f / 2
+    return weights
+
+
 def edge_weight_sums(g, entries):
     """Per-edge incident weight sums of a decomposition, computed directly."""
     sums = {e: Fraction(0) for e in range(g.m)}

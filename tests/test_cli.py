@@ -1,6 +1,7 @@
 """CLI contract: subcommands, formats, and the exit-code table."""
 
 import csv
+import hashlib
 
 import pytest
 
@@ -117,6 +118,45 @@ class TestDecompose:
         )
         assert code == 0
         assert out.startswith("# triangles=20")
+
+
+class TestGoldenOutput:
+    """Exact-mode `decompose` stdout, pinned byte for byte by its sha256."""
+
+    @pytest.mark.parametrize(
+        "argv, code, first_line, digest",
+        [
+            (
+                ("--gen", "complete-minus-hamilton", "--n", "13"),
+                0,
+                "# triangles=156 total=65/3",
+                "2ce323029ae0423466bc4a30fd99c07443bee037355e27cc12ad1310d8c3042c",
+            ),
+            (
+                ("--gen", "random-min-degree", "--n", "14", "--fraction", "4/5", "--seed", "0"),
+                0,
+                "# triangles=280 total=28",
+                "24f7fe6ade6e340043d7ab9da433467a0b33bd64d56211af8787af179fd67c9f",
+            ),
+            (
+                ("--gen", "random-min-degree", "--n", "14", "--fraction", "7/10", "--seed", "0"),
+                2,
+                "# INFEASIBLE-BY-FLOW M=45/16 cut=14639/7200",
+                "2aae2c1335aa22c237b112f226b53626474cb6941c7925c115b5cf7f0f2acbd1",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, code, first_line, digest):
+        got, out, _ = run(capsys, "decompose", *argv)
+        assert got == code
+        assert out.splitlines()[0] == first_line
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_saturating_instance_transfers(self, capsys):
+        # The first entry differs from the uniform weight 65/(3*156) = 5/36,
+        # so the n=13 instance runs the transfer stage.
+        _, out, _ = run(capsys, "decompose", "--gen", "complete-minus-hamilton", "--n", "13")
+        assert out.splitlines()[1] == "0 2 4 5/54"
 
 
 class TestVerifyCommand:
@@ -277,3 +317,16 @@ class TestScan:
         )
         assert code == 3
         assert err.startswith("input error:")
+
+    def test_unwritable_out_fails_before_any_trial(self, capsys, monkeypatch, tmp_path):
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran before --out was opened")
+
+        monkeypatch.setattr(cli, "_scan_one", trial)
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(
+            capsys, "scan", "--n", "30", "--fractions", "9/10", "--samples", "2", "--out", str(target)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("input error: cannot write")

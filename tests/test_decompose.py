@@ -5,8 +5,10 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tridecomp.decompose import (
     CutCertificate,
@@ -29,7 +31,7 @@ from tridecomp.errors import (
     UnknownTriangleError,
 )
 from tridecomp.graph import (
-    RootedK4Link,
+    LinkSet,
     degree_stats,
     enumerate_triangles,
     triangles_per_edge,
@@ -44,6 +46,7 @@ from conftest import (
     complete_graph,
     complete_minus_hamilton,
     make_graph,
+    reference_transfer,
 )
 from test_graph import graphs_strategy
 
@@ -79,8 +82,7 @@ class TestInitialWeight:
 class TestBuildNetwork:
     def test_k4_is_balanced(self, k4):
         net = build_network(k4, initial_weight(k4), degree_stats(k4).deficiency)
-        assert net.source_excess == {}
-        assert net.sink_deficit == {}
+        assert net.terminals.tolist() == [0] * k4.m
         assert net.required_flow == 0
 
     def test_complete_graphs_need_no_flow(self):
@@ -95,13 +97,12 @@ class TestBuildNetwork:
         assert stats.deficiency == Fraction(2, 5)
         net = build_network(g, initial_weight(g), stats.deficiency)
         # Edges inside {0,1,2} carry 3 * 3/7 = 9/7, the six cross edges 6/7.
+        # The link capacity is 2/21, so the shared denominator is 21.
         core = {g.edge_id(0, 1), g.edge_id(0, 2), g.edge_id(1, 2)}
-        assert set(net.source_excess) == core
-        assert all(x == Fraction(2, 7) for x in net.source_excess.values())
-        assert set(net.sink_deficit) == set(range(g.m)) - core
-        assert all(x == Fraction(1, 7) for x in net.sink_deficit.values())
+        assert net.denominator == 21
+        assert net.terminals.tolist() == [6 if e in core else -3 for e in range(g.m)]
         assert net.required_flow == Fraction(6, 7)
-        assert net.link_capacity == Fraction(2, 21)
+        assert net.link_capacity == 2
         assert len(net.links) == 6
 
     def test_bad_deficiency_rejected(self, k4):
@@ -120,24 +121,31 @@ class TestBuildNetwork:
         w = Fraction(g.m, sum(brute))
         net = build_network(g, w, Fraction(0))
         for e, te in enumerate(brute):
-            load = te * w
-            assert net.source_excess.get(e, 0) == max(load - 1, 0)
-            assert net.sink_deficit.get(e, 0) == max(1 - load, 0)
+            assert Fraction(int(net.terminals[e]), net.denominator) == te * w - 1
 
 
 class TestApplyTransfer:
-    def _uniform_k4(self, k4):
-        tris = enumerate_triangles(k4)
-        return TriangleWeightAssignment.uniform(k4, tris, Fraction(1, 2))
+    # Weights over 8, so flows are numerators over 4: a flow of 1 is 1/4.
+    def _uniform_k4(self, k4, triangles=None):
+        if triangles is None:
+            triangles = enumerate_triangles(k4)
+        nums = np.full(len(triangles), 4, np.int64)
+        return TriangleWeightAssignment(k4, triangles, nums, 8)
+
+    def _links(self, k4, *pairs):
+        e1 = [k4.edge_id(*a) for a, _ in pairs]
+        e2 = [k4.edge_id(*b) for _, b in pairs]
+        return LinkSet(k4, np.array(e1, np.int32), np.array(e2, np.int32))
 
     def test_quarter_transfer(self, k4):
         a = self._uniform_k4(k4)
-        link = RootedK4Link(k4.edge_id(0, 1), k4.edge_id(2, 3))
-        apply_transfer(a, link, Fraction(1, 4))
-        assert a.weights[(0, 1, 2)] == Fraction(3, 8)
-        assert a.weights[(0, 1, 3)] == Fraction(3, 8)
-        assert a.weights[(0, 2, 3)] == Fraction(5, 8)
-        assert a.weights[(1, 2, 3)] == Fraction(5, 8)
+        apply_transfer(a, self._links(k4, ((0, 1), (2, 3))), [1])
+        assert dict(a.items()) == {
+            (0, 1, 2): Fraction(3, 8),
+            (0, 1, 3): Fraction(3, 8),
+            (0, 2, 3): Fraction(5, 8),
+            (1, 2, 3): Fraction(5, 8),
+        }
         # Direct recomputation of all six edge sums.
         assert a.edge_weight(0, 1) == Fraction(3, 4)
         assert a.edge_weight(2, 3) == Fraction(5, 4)
@@ -147,43 +155,40 @@ class TestApplyTransfer:
 
     def test_zero_transfer_is_identity(self, k4):
         a = self._uniform_k4(k4)
-        before = dict(a.weights)
-        apply_transfer(a, RootedK4Link(0, 5), Fraction(0))
-        assert a.weights == before
+        before = a.items()
+        apply_transfer(a, self._links(k4, ((0, 1), (2, 3))), [0])
+        assert a.items() == before
 
     def test_inverse_transfers_cancel(self, k4):
+        # The same link twice in one call: both flows land on the same rows.
         a = self._uniform_k4(k4)
-        before = dict(a.weights)
-        link = RootedK4Link(k4.edge_id(0, 2), k4.edge_id(1, 3))
-        apply_transfer(a, link, Fraction(1, 8), "e1->e2")
-        apply_transfer(a, link, Fraction(1, 8), "e2->e1")
-        assert a.weights == before
+        before = a.items()
+        pair = ((0, 2), (1, 3))
+        apply_transfer(a, self._links(k4, pair, pair), [1, -1])
+        assert a.items() == before
+        apply_transfer(a, self._links(k4, pair), [1])
+        apply_transfer(a, self._links(k4, pair), [-1])
+        assert a.items() == before
 
     def test_reverse_direction(self, k4):
         a = self._uniform_k4(k4)
-        link = RootedK4Link(k4.edge_id(0, 1), k4.edge_id(2, 3))
-        apply_transfer(a, link, Fraction(1, 4), "e2->e1")
+        apply_transfer(a, self._links(k4, ((0, 1), (2, 3))), [-1])
         assert a.edge_weight(0, 1) == Fraction(5, 4)
         assert a.edge_weight(2, 3) == Fraction(3, 4)
 
     def test_unknown_triangle(self, k4):
-        a = self._uniform_k4(k4)
-        del a.weights[(0, 1, 2)]
+        triangles = enumerate_triangles(k4)[1:]  # drop (0, 1, 2)
+        a = self._uniform_k4(k4, triangles)
         with pytest.raises(UnknownTriangleError):
-            apply_transfer(a, RootedK4Link(0, 5), Fraction(1, 16))
-
-    def test_bad_direction(self, k4):
-        a = self._uniform_k4(k4)
-        with pytest.raises(ValueError):
-            apply_transfer(a, RootedK4Link(0, 5), Fraction(1, 16), "sideways")
+            apply_transfer(a, self._links(k4, ((0, 1), (2, 3))), [1])
 
 
 class TestSolve:
     def test_k7_keeps_uniform_weights(self):
         g = complete_graph(7)
-        assignment = solve(g, degree_stats(g).deficiency, instrument=True)
+        assignment = solve(g, degree_stats(g).deficiency)
         assert isinstance(assignment, TriangleWeightAssignment)
-        assert all(w == Fraction(1, 5) for w in assignment.weights.values())
+        assert all(w == Fraction(1, 5) for _, w in assignment.items())
 
     def test_k5_minus_edge_cut(self, k5_minus_edge):
         g = k5_minus_edge
@@ -196,13 +201,13 @@ class TestSolve:
         arcnet, _ = net.to_arc_network()
         expected = brute_min_cut(
             arcnet.num_nodes,
-            arcnet.tails,
-            arcnet.heads,
-            arcnet.capacities,
+            arcnet.tails.tolist(),
+            arcnet.heads.tolist(),
+            arcnet.capacities.tolist(),
             arcnet.source,
             arcnet.sink,
         )
-        assert outcome.cut_capacity == expected
+        assert outcome.cut_capacity == Fraction(expected, arcnet.denominator)
 
     def test_cut_certificate_capacity_recomputed(self, k5_minus_edge):
         # Recompute the certificate's capacity from its edge partition alone.
@@ -211,13 +216,15 @@ class TestSolve:
         outcome = solve(g, stats.deficiency)
         net = build_network(g, initial_weight(g), stats.deficiency)
         side = set(outcome.source_side_edges)
-        cap = sum(x for e, x in net.source_excess.items() if e not in side)
-        cap += sum(x for e, x in net.sink_deficit.items() if e in side)
+        cap = 0
+        for e, x in enumerate(net.terminals.tolist()):
+            if (x > 0 and e not in side) or (x < 0 and e in side):
+                cap += abs(x)
         for i in range(len(net.links)):
             crossing = (int(net.links.e1[i]) in side) != (int(net.links.e2[i]) in side)
             if crossing:
                 cap += net.link_capacity
-        assert cap == outcome.cut_capacity
+        assert Fraction(cap, net.denominator) == outcome.cut_capacity
 
     def test_hamilton_complement_redistributes(self):
         g = complete_minus_hamilton(20)
@@ -225,12 +232,12 @@ class TestSolve:
         uniform = initial_weight(g)
         net = build_network(g, uniform, stats.deficiency)
         assert net.required_flow > 0
-        assignment = solve(g, stats.deficiency, instrument=True)
+        assignment = solve(g, stats.deficiency)
         assert isinstance(assignment, TriangleWeightAssignment)
         assert assignment.total() == Fraction(g.m, 3)
         for e in range(g.m):
             assert assignment.edge_weight(*g.endpoints(e)) == 1
-        assert all(w >= 0 for w in assignment.weights.values())
+        assert all(w >= 0 for _, w in assignment.items())
 
     def test_enumerates_triangles_once(self, monkeypatch):
         calls = []
@@ -254,6 +261,119 @@ class TestSolve:
         assignment = solve(g, degree_stats(g).deficiency, mode="float")
         for e in range(g.m):
             assert abs(assignment.edge_weight(*g.endpoints(e)) - 1.0) < 1e-9
+        # Float weights are the exact ones, correctly rounded.
+        exact = solve(g, degree_stats(g).deficiency)
+        assert assignment.items() == [(tri, float(w)) for tri, w in exact.items()]
+
+    def test_int64_guard_boundary(self, monkeypatch):
+        # Numerators use int64 exactly when the bound start + 3(n-3)c, with
+        # start the uniform numerator over 2D and c the link capacity over D,
+        # stays below the limit; the bound holds on the result.
+        g = complete_minus_hamilton(13)
+        deficiency = degree_stats(g).deficiency
+        w = initial_weight(g)
+        net = build_network(g, w, deficiency)
+        start = w * 2 * net.denominator
+        assert start.denominator == 1
+        bound = int(start) + 3 * (g.n - 3) * net.link_capacity
+        module = importlib.import_module("tridecomp.decompose")
+        monkeypatch.setattr(module, "_INT64_LIMIT", bound)
+        wide = solve(g, deficiency)
+        assert wide.numerators.dtype == object
+        monkeypatch.setattr(module, "_INT64_LIMIT", bound + 1)
+        narrow = solve(g, deficiency)
+        assert narrow.numerators.dtype == np.int64
+        assert int(np.abs(narrow.numerators).max()) <= bound
+        assert narrow.items() == wide.items()
+
+
+def triangle_closed(g):
+    """g minus, repeatedly, every edge that lies in no triangle."""
+    while True:
+        keep = triangles_per_edge(g) > 0
+        if keep.all():
+            return g
+        g = make_graph(list(zip(g.edge_u[keep].tolist(), g.edge_v[keep].tolist())), g.n)
+
+
+def closed_pair(h):
+    """h and its complement, each triangle-closed; the complement of a small
+    draw is dense enough for flows that saturate and move weight."""
+    present = set(h.edge_pairs())
+    complement = make_graph([p for p in combinations(range(h.n), 2) if p not in present], h.n)
+    return [g for g in (triangle_closed(h), triangle_closed(complement)) if g.m]
+
+
+def reference_solve(g, deficiency):
+    """solve's weights by the per-link Fraction transfer, or None on a cut."""
+    w = initial_weight(g)
+    net = build_network(g, w, deficiency)
+    arcnet, link_base = net.to_arc_network()
+    flow = max_flow(arcnet)
+    if flow.value < net.required_flow:
+        return None
+    forward = flow.flows_scaled[link_base::2]
+    backward = flow.flows_scaled[link_base + 1 :: 2]
+    net_flows = [Fraction(f - b, flow.denominator) for f, b in zip(forward, backward)]
+    return reference_transfer(g, enumerate_triangles(g).tolist(), w, net.links, net_flows)
+
+
+def python_int_solve(g, deficiency):
+    """solve with the int64 guard tripped, so every numerator is a Python int."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("tridecomp.decompose"), "_INT64_LIMIT", 0)
+        return solve(g, deficiency)
+
+
+# The deficiency only sets the link capacity 2w/(3(1-d)n); values near 1
+# give the wide links that let small graphs saturate.
+DEFICIENCIES = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)])
+HAMILTON_NS = range(7, 17)
+
+
+class TestDifferential:
+    """The vectorized transfer against the per-link Fraction reference, and
+    the int64 numerators against the Python-int ones."""
+
+    def _against_reference(self, g, deficiency):
+        outcome = solve(g, deficiency)
+        expected = reference_solve(g, deficiency)
+        if expected is None:
+            assert isinstance(outcome, CutCertificate)
+        else:
+            assert dict(outcome.items()) == expected
+
+    def _against_python_ints(self, g, deficiency):
+        outcome = solve(g, deficiency)
+        wide = python_int_solve(g, deficiency)
+        if isinstance(outcome, CutCertificate):
+            assert wide == outcome
+        else:
+            assert outcome.numerators.dtype == np.int64
+            assert wide.numerators.dtype == object
+            assert wide.items() == outcome.items()
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_strategy(max_n=12), DEFICIENCIES)
+    def test_reference_random_graphs(self, h, deficiency):
+        for g in closed_pair(h):
+            self._against_reference(g, deficiency)
+
+    @pytest.mark.parametrize("n", HAMILTON_NS)
+    def test_reference_hamilton_complements(self, n):
+        g = complete_minus_hamilton(n)
+        self._against_reference(g, degree_stats(g).deficiency)
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs_strategy(max_n=12), DEFICIENCIES)
+    def test_python_ints_random_graphs(self, h, deficiency):
+        for g in closed_pair(h):
+            self._against_python_ints(g, deficiency)
+
+    @pytest.mark.parametrize("n", HAMILTON_NS)
+    def test_python_ints_hamilton_complements(self, n):
+        g = complete_minus_hamilton(n)
+        self._against_python_ints(g, degree_stats(g).deficiency)
 
 
 class TestDecompose:
@@ -296,7 +416,7 @@ class TestDecompose:
         g = make_graph(pairs, 13)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
-            outcome = decompose(g, instrument=True)
+            outcome = decompose(g)
         assert isinstance(outcome, Decomposition)
         assert verify(g, outcome).ok
         for tri in ((2, 3, 4), (5, 6, 7), (8, 9, 10)):
@@ -313,8 +433,9 @@ class TestDecompose:
                 decompose(g)
 
     def test_instrumented_complete_runs(self):
+        # The saturation and total-weight checks run on every solve.
         for n in (5, 7):
-            d = decompose(complete_graph(n), instrument=True)
+            d = decompose(complete_graph(n))
             assert verify(complete_graph(n), d).ok
 
 

@@ -37,7 +37,9 @@ class TestBasics:
         assert max_flow(net(4, triples)).value == expected
 
     def test_empty_network(self):
-        res = max_flow(net(2, []))
+        n = net(2, [])
+        assert n.tails.size == 0 and n.denominator == 1
+        res = max_flow(n)
         assert res.value == 0
         assert res.flows_scaled == []
 
@@ -58,12 +60,20 @@ class TestBasics:
             max_flow(net(2, [(0, 1, Fraction(-1))]))
 
     def test_rational_capacities(self):
-        res = max_flow(net(3, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2))]))
+        n = net(3, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2))])
+        # Scaled once by the lcm 6 of the denominators.
+        assert n.denominator == 6
+        assert n.capacities.tolist() == [2, 3]
+        res = max_flow(n)
+        assert res.denominator == 6
+        assert res.flows_scaled == [2, 2]
         assert res.value == Fraction(1, 3)
 
     def test_huge_capacities_use_exact_path(self):
         big = Fraction(10**30, 7)
-        res = max_flow(net(2, [(0, 1, big)]))
+        n = net(2, [(0, 1, big)])
+        assert n.capacities.tolist() == [10**30]
+        res = max_flow(n)
         assert res.value == big
 
 
@@ -84,6 +94,12 @@ class TestVerifyFlow:
         res = max_flow(n)
         bad = replace(res, flows_scaled=[2, 1])
         assert "conservation" in flow_violation(n, bad)
+
+    def test_denominator_mismatch_detected(self):
+        n = net(2, [(0, 1, Fraction(1, 2))])
+        res = max_flow(n)
+        bad = replace(res, denominator=4)
+        assert "denominator" in flow_violation(n, bad)
 
     def test_bad_cut_detected(self):
         n = net(2, [(0, 1, 1)])
