@@ -205,21 +205,21 @@ class FlowNetwork:
         terminals = self.terminals
         sources = np.flatnonzero(terminals > 0)
         sinks = np.flatnonzero(terminals < 0)
-        e1 = self.links.e1.astype(np.int64)
-        e2 = self.links.e2.astype(np.int64)
-        tails = np.concatenate(
-            [np.full(sources.size, self.supersource), sinks, np.stack([e1, e2], axis=1).ravel()]
-        )
-        heads = np.concatenate(
-            [sources, np.full(sinks.size, self.supersink), np.stack([e2, e1], axis=1).ravel()]
-        )
-        caps = np.concatenate(
-            [
-                terminals[sources],
-                -terminals[sinks],
-                np.full(2 * e1.size, self.link_capacity, dtype=terminals.dtype),
-            ]
-        )
+        base = sources.size + sinks.size
+        # Node ids stay below m + 2, which the dense-size guardrail keeps far
+        # below 2**31.
+        tails = np.empty(base + 2 * len(self.links), np.int32)
+        heads = np.empty_like(tails)
+        tails[: sources.size] = self.supersource
+        heads[: sources.size] = sources
+        tails[sources.size : base] = sinks
+        heads[sources.size : base] = self.supersink
+        tails[base::2] = heads[base + 1 :: 2] = self.links.e1
+        heads[base::2] = tails[base + 1 :: 2] = self.links.e2
+        caps = np.empty(tails.size, terminals.dtype)
+        caps[: sources.size] = terminals[sources]
+        caps[sources.size : base] = -terminals[sinks]
+        caps[base:] = self.link_capacity
         net = ArcNetwork(
             self.residual.m + 2,
             tails,
@@ -229,7 +229,7 @@ class FlowNetwork:
             self.supersink,
             self.denominator,
         )
-        return net, sources.size + sinks.size
+        return net, base
 
 
 def build_network(residual, uniform_weight, deficiency, max_links=DEFAULT_MAX_LINKS,
@@ -318,7 +318,8 @@ def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS):
             cut_capacity=result.value,
             required_flow=network.required_flow,
         )
-    if result.flows_scaled[:link_base] != arcnet.capacities[:link_base].tolist():
+    flows = result.flows
+    if (flows[:link_base] != arcnet.capacities[:link_base]).any():
         raise AssertionError("a terminal arc is unsaturated at the required flow")
 
     # Weights are numerators over 2D, so a flow f/D moves f on each of the
@@ -331,8 +332,7 @@ def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS):
     assignment = TriangleWeightAssignment(
         residual, triangles, np.full(len(triangles), start, dtype), denominator, mode
     )
-    link_flows = np.array(result.flows_scaled[link_base:], dtype)
-    apply_transfer(assignment, network.links, link_flows[0::2] - link_flows[1::2])
+    apply_transfer(assignment, network.links, flows[link_base::2] - flows[link_base + 1 :: 2])
     if 3 * sum(assignment.numerators.tolist()) != residual.m * denominator:
         raise AssertionError("total triangle weight drifted from m/3")
     assignment.required_flow = network.required_flow

@@ -17,7 +17,12 @@ import numpy as np
 from . import kernels
 from .errors import GraphConstructionError, GraphSizeError, LinkLimitError
 
-DEFAULT_MAX_LINKS = 50_000_000
+# On the scipy flow path a decompose run peaks at about 115 bytes per link
+# above the 63 MB of a small run (K70 minus a Hamilton cycle: 318 MB at 2.29M
+# links; K100 minus one: 1.27 GB at 10.4M links), so a run at this cap stays
+# near 3.5 GB, under 4 GiB. The Python-int fallback needs about 480 bytes a
+# link (K70: 1.17 GB).
+DEFAULT_MAX_LINKS = 30_000_000
 
 # A Graph holds n x n bool and int32 matrices, 5 bytes per cell. 14 bytes per
 # cell is a conservative bound that puts the exit-4 boundary at n > 8757.

@@ -1,8 +1,10 @@
 """Hot inner loops: triangle/K4-link enumeration and integer blocking-flow.
 
-The enumerations are vectorized numpy over the boolean adjacency matrix; the
-flow kernel is Dinic over plain Python integers, so capacities of any
-magnitude stay exact. Both enumerations emit their results in canonical order.
+The enumerations are vectorized numpy over the boolean adjacency matrix and
+emit their results in canonical order. The flow kernel is Dinic over plain
+Python integers, so capacities of any magnitude stay exact; `maxflow.max_flow`
+runs it only on networks whose values scipy's int32 Dinic cannot be proven
+to hold.
 """
 
 from __future__ import annotations

@@ -2,9 +2,14 @@
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tridecomp
 from tridecomp import cli
 from tridecomp.cli import main
 from tridecomp.errors import EdgeInNoTriangleError, EmptyGraphError, UnknownTriangleError
@@ -330,3 +335,20 @@ class TestScan:
         assert code == 3
         assert out == ""
         assert err.startswith("input error: cannot write")
+
+
+def test_cli_import_does_not_load_scipy():
+    # max_flow imports scipy on its first call, so start-up does not pay for it.
+    src = str(Path(tridecomp.__file__).resolve().parents[1])
+    code = (
+        "import sys, tridecomp.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -312,8 +312,8 @@ def reference_solve(g, deficiency):
     flow = max_flow(arcnet)
     if flow.value < net.required_flow:
         return None
-    forward = flow.flows_scaled[link_base::2]
-    backward = flow.flows_scaled[link_base + 1 :: 2]
+    forward = flow.flows[link_base::2].tolist()
+    backward = flow.flows[link_base + 1 :: 2].tolist()
     net_flows = [Fraction(f - b, flow.denominator) for f, b in zip(forward, backward)]
     return reference_transfer(g, enumerate_triangles(g).tolist(), w, net.links, net_flows)
 

@@ -1,15 +1,23 @@
-"""Max-flow solver against exhaustive min-cut enumeration and injected faults."""
+"""Max-flow solver against exhaustive min-cut enumeration, networkx and injected
+faults; the scipy path against the Python-int path."""
 
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tridecomp import kernels, maxflow
+from tridecomp.decompose import build_network, initial_weight
+from tridecomp.instances import GenSpec, generate
 from tridecomp.maxflow import ArcNetwork, flow_violation, max_flow, verify_flow
+from tridecomp.peeling import peel_heavy_triangles
 
-from conftest import brute_min_cut
+from conftest import brute_min_cut, complete_minus_hamilton
 
 
 def net(num_nodes, triples, source=0, sink=None):
@@ -27,7 +35,7 @@ class TestBasics:
     def test_parallel_paths(self):
         res = max_flow(net(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)]))
         assert res.value == 2
-        assert res.source_side == [True, False, False, False]
+        assert res.source_side.tolist() == [True, False, False, False]
 
     def test_bottleneck(self):
         # min cut computed by enumerating the 4 cuts of this 4-node network
@@ -41,7 +49,8 @@ class TestBasics:
         assert n.tails.size == 0 and n.denominator == 1
         res = max_flow(n)
         assert res.value == 0
-        assert res.flows_scaled == []
+        assert res.flows.size == 0
+        assert res.source_side.tolist() == [True, False]
 
     def test_disconnected(self):
         res = max_flow(net(3, [(0, 1, 7)], source=0, sink=2))
@@ -66,7 +75,7 @@ class TestBasics:
         assert n.capacities.tolist() == [2, 3]
         res = max_flow(n)
         assert res.denominator == 6
-        assert res.flows_scaled == [2, 2]
+        assert res.flows.tolist() == [2, 2]
         assert res.value == Fraction(1, 3)
 
     def test_huge_capacities_use_exact_path(self):
@@ -75,6 +84,7 @@ class TestBasics:
         assert n.capacities.tolist() == [10**30]
         res = max_flow(n)
         assert res.value == big
+        assert res.flows.dtype == object and res.flows.tolist() == [10**30]
 
 
 class TestVerifyFlow:
@@ -86,13 +96,13 @@ class TestVerifyFlow:
     def test_over_capacity_detected(self):
         n = net(2, [(0, 1, 1)])
         res = max_flow(n)
-        bad = replace(res, flows_scaled=[res.flows_scaled[0] + 1])
+        bad = replace(res, flows=res.flows + 1)
         assert "capacity" in flow_violation(n, bad)
 
     def test_broken_conservation_detected(self):
         n = net(3, [(0, 1, 2), (1, 2, 2)])
         res = max_flow(n)
-        bad = replace(res, flows_scaled=[2, 1])
+        bad = replace(res, flows=np.array([2, 1]))
         assert "conservation" in flow_violation(n, bad)
 
     def test_denominator_mismatch_detected(self):
@@ -104,8 +114,10 @@ class TestVerifyFlow:
     def test_bad_cut_detected(self):
         n = net(2, [(0, 1, 1)])
         res = max_flow(n)
-        bad = replace(res, source_side=[True, True])
+        bad = replace(res, source_side=np.array([True, True]))
         assert "separate" in flow_violation(n, bad)
+        short = replace(res, source_side=np.array([True]))
+        assert "node count" in flow_violation(n, short)
 
 
 def random_network_cases(count, max_nodes=10, max_cap=9, seed=0x5EED):
@@ -183,3 +195,149 @@ def test_duality_always(case):
     network = ArcNetwork.from_triples(num_nodes, arcs, 0, num_nodes - 1)
     res = max_flow(network)
     assert verify_flow(network, res)
+
+
+@pytest.fixture
+def dinic_calls(monkeypatch):
+    """Records each call of the Python-int Dinic, the exact fallback path."""
+    calls = []
+    real = kernels.max_flow_int
+
+    def spy(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "max_flow_int", spy)
+    return calls
+
+
+def both_paths(network, dinic_calls):
+    """The network's flow on the scipy path, then with the guard tripped."""
+    fast = max_flow(network)
+    assert not dinic_calls, "expected the scipy path"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maxflow, "_INT32_LIMIT", 0)
+        exact = max_flow(network)
+    assert dinic_calls, "expected the Python-int path"
+    dinic_calls.clear()
+    return fast, exact
+
+
+def assert_paths_agree(network, fast, exact):
+    assert fast.value == exact.value
+    assert fast.source_side.tolist() == exact.source_side.tolist()
+    assert verify_flow(network, fast), flow_violation(network, fast)
+    assert verify_flow(network, exact), flow_violation(network, exact)
+
+
+def auxiliary_networks():
+    """(label, arc network, link_base) of solve's network on K_n minus a
+    Hamilton cycle (n <= 20) and on random-min-degree n=40 at 7/10."""
+    graphs = [(f"K{n}-H", complete_minus_hamilton(n)) for n in range(7, 21)]
+    for seed in range(4):
+        spec = GenSpec("random-min-degree", 40, Fraction(7, 10), seed)
+        graphs.append((f"rmd40 7/10 seed {seed}", generate(spec)))
+    for label, g in graphs:
+        peel = peel_heavy_triangles(g)
+        w = initial_weight(peel.residual)
+        network = build_network(peel.residual, w, peel.deficiency)
+        arcnet, link_base = network.to_arc_network()
+        yield label, arcnet, link_base
+
+
+class TestPaths:
+    def test_random_networks_agree(self, dinic_calls):
+        # The test_c7 networks: parallel, antiparallel and zero-capacity arcs.
+        kinds = Counter()
+        for num_nodes, arcs, source, sink in random_network_cases(1000, seed=0xACCE97):
+            if not arcs:
+                continue  # an empty network takes the Python path at once
+            network = ArcNetwork.from_triples(num_nodes, arcs, source, sink)
+            pairs = [(t, h) for t, h, _ in arcs]
+            kinds["parallel"] += len(set(pairs)) < len(pairs)
+            kinds["antiparallel"] += any((h, t) in pairs for t, h in pairs)
+            kinds["zero"] += any(c == 0 for _, _, c in arcs)
+            fast, exact = both_paths(network, dinic_calls)
+            assert_paths_agree(network, fast, exact)
+            assert fast.flows.dtype == np.int64 and exact.flows.dtype == object
+        assert min(kinds.values()) > 100, kinds
+
+    def test_auxiliary_networks_agree(self, dinic_calls):
+        # Both are Dinic over the same arc order; on these networks they find
+        # the same flow on every link, so solve's transfers do not depend on
+        # the path.
+        for label, arcnet, b in auxiliary_networks():
+            fast, exact = both_paths(arcnet, dinic_calls)
+            assert_paths_agree(arcnet, fast, exact)
+            net_fast = fast.flows[b::2] - fast.flows[b + 1 :: 2]
+            net_exact = exact.flows[b::2] - exact.flows[b + 1 :: 2]
+            assert net_fast.tolist() == net_exact.tolist(), label
+
+    def test_self_loop_and_zero_arcs(self, dinic_calls):
+        network = net(3, [(0, 0, 4), (0, 1, 3), (1, 1, 2), (1, 2, 0), (1, 2, 2), (0, 2, 0)])
+        fast, exact = both_paths(network, dinic_calls)
+        assert_paths_agree(network, fast, exact)
+        assert fast.value == 2
+        assert fast.flows.tolist() == [0, 2, 0, 0, 2, 0]
+
+    def test_parallel_arcs_fill_in_arc_order(self, dinic_calls):
+        network = net(3, [(0, 1, 2), (0, 1, 5), (1, 0, 4), (1, 2, 6), (0, 1, 1)])
+        res = max_flow(network)
+        assert not dinic_calls
+        assert res.flows.tolist() == [2, 4, 0, 6, 0]
+        assert verify_flow(network, res)
+
+    def test_guard_boundary(self, dinic_calls):
+        # Path 0 -> 1 -> 2: the largest capacity plus the source's total.
+        def path(a, b):
+            caps = np.array([a, b], np.int64)
+            return ArcNetwork(3, np.array([0, 1]), np.array([1, 2]), caps, 0, 2, 1)
+
+        assert max_flow(path(2**30 - 1, 2**30)).value == 2**30 - 1
+        assert not dinic_calls
+        assert max_flow(path(2**30, 2**30)).value == 2**30
+        assert len(dinic_calls) == 1
+
+    def test_guard_sums_parallel_arcs(self, dinic_calls):
+        # Each arc alone is 2**29, but the merged entry 0 -> 1 is 2**30, and
+        # 2**30 + 2**30 reaches the bound.
+        caps = np.array([2**29, 2**29, 1], np.int64)
+        network = ArcNetwork(3, np.array([0, 0, 1]), np.array([1, 1, 2]), caps, 0, 2, 1)
+        assert max_flow(network).value == 1
+        assert len(dinic_calls) == 1
+
+
+def networkx_value(network):
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    g.add_nodes_from(range(network.num_nodes))
+    arcs = zip(network.tails.tolist(), network.heads.tolist(), network.capacities.tolist())
+    for t, h, c in arcs:
+        if g.has_edge(t, h):
+            g[t][h]["capacity"] += c
+        else:
+            g.add_edge(t, h, capacity=c)
+    return nx.maximum_flow_value(g, network.source, network.sink)
+
+
+class TestAgainstNetworkx:
+    def test_mid_size_random_networks(self, dinic_calls):
+        rng = random.Random(0x4E7)
+        for _ in range(20):
+            num_nodes = rng.randrange(30, 61)
+            arcs = []
+            while len(arcs) < 8 * num_nodes:
+                t, h = rng.randrange(num_nodes), rng.randrange(num_nodes)
+                if t != h:
+                    arcs.append((t, h, rng.randrange(1000)))
+            network = ArcNetwork.from_triples(num_nodes, arcs, 0, num_nodes - 1)
+            fast, exact = both_paths(network, dinic_calls)
+            assert_paths_agree(network, fast, exact)
+            assert fast.value == networkx_value(network)
+
+    def test_auxiliary_networks(self, dinic_calls):
+        for label, arcnet, _ in auxiliary_networks():
+            if arcnet.num_nodes > 200:
+                continue
+            expected = networkx_value(arcnet)
+            assert max_flow(arcnet).value * arcnet.denominator == expected, label
