@@ -9,7 +9,6 @@ from .decompose import (
     CutCertificate,
     Decomposition,
     FlowNetwork,
-    TriangleWeightAssignment,
     apply_transfer,
     build_network,
     decompose,
@@ -24,8 +23,6 @@ from .graph import (
     DegreeStats,
     Graph,
     LinkSet,
-    RootedK4Link,
-    common_neighbors,
     degree_stats,
     enumerate_rooted_k4_links,
     enumerate_triangles,
@@ -53,13 +50,10 @@ __all__ = [
     "Graph",
     "LinkSet",
     "PeelResult",
-    "RootedK4Link",
-    "TriangleWeightAssignment",
     "VerifyReport",
     "Xorshift64Star",
     "apply_transfer",
     "build_network",
-    "common_neighbors",
     "decompose",
     "degree_stats",
     "enumerate_rooted_k4_links",

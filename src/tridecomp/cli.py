@@ -20,6 +20,7 @@ from .decompose import (
     format_decomposition,
     parse_decomposition,
     solve,
+    with_peeled,
 )
 from .errors import (
     EdgeInNoTriangleError,
@@ -151,7 +152,7 @@ def cmd_verify(args):
         with open(args.graph) as fh:
             g = read_edge_list(fh.read())
         with open(args.decomposition) as fh:
-            d = parse_decomposition(fh.read(), mode=args.mode)
+            d = parse_decomposition(fh.read())
     except OSError as exc:
         raise InputFormatError(str(exc)) from exc
     report = verify(g, d, mode=args.mode)
@@ -186,27 +187,25 @@ def _scan_one(n, fraction, seed, mode, max_links, max_lp_triangles):
         "M": "",
         "value": "",
     }
-    entries = [(tri, Fraction(1)) for tri in peel.removed]
+    residual = None
     if peel.residual.m == 0:
         row["flow_ok"] = 1
         row["M"] = "0"
         row["value"] = "0"
     else:
         try:
-            outcome = solve(peel.residual, peel.deficiency, mode=mode, max_links=max_links)
+            residual = solve(peel.residual, peel.deficiency, mode=mode, max_links=max_links)
         except EdgeInNoTriangleError:
-            outcome = None
-        if isinstance(outcome, CutCertificate):
-            row["M"] = str(outcome.required_flow)
-            row["value"] = str(outcome.cut_capacity)
-        elif outcome is not None:
+            pass
+        if isinstance(residual, CutCertificate):
+            row["M"] = str(residual.required_flow)
+            row["value"] = str(residual.cut_capacity)
+        elif residual is not None:
             row["flow_ok"] = 1
-            row["M"] = str(outcome.required_flow)
-            row["value"] = str(outcome.required_flow)
-            entries.extend(outcome.items())
+            row["M"] = str(residual.required_flow)
+            row["value"] = str(residual.required_flow)
     if row["flow_ok"]:
-        entries.sort(key=lambda item: item[0])
-        report = verify(g, entries, mode=mode)
+        report = verify(g, with_peeled(g, peel.removed, residual, mode), mode=mode)
         if not report.ok:
             raise AssertionError(f"scan trial produced an invalid decomposition: {report}")
     try:

@@ -16,8 +16,10 @@ denominator D, the lcm of the denominators of w and of the link capacity.
 Triangle weights are integer numerators over 2D, so a flow f/D across a link
 moves exactly f on each of its four triangles. Both are numpy int64 arrays
 when a bound proven from the inputs keeps every value and partial sum below
-2**62, and object arrays of Python ints otherwise. Fractions (or, in float
-mode, correctly rounded floats) are made only when the weights are read out.
+2**62, and object arrays of Python ints otherwise. Every weight set (from the
+flow, the LP oracle or a file) is one `Decomposition` of such numerators over
+one denominator; peeled triangles join with numerator = denominator. Fractions
+(or, in float mode, correctly rounded floats) are made only at read-out.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ from .peeling import peel_heavy_triangles
 
 REGIME_LIMIT = Fraction(1, 10)
 
-FLOAT_EDGE_TOLERANCE = 1e-9
-FLOAT_WEIGHT_FLOOR = -1e-12
-
 # int64 arithmetic is used only where every value stays below this bound.
 _INT64_LIMIT = 1 << 62
 
@@ -78,45 +77,49 @@ def initial_weight(residual, triangles=None):
     return Fraction(residual.m, 3 * triangles.shape[0])
 
 
-class TriangleWeightAssignment:
+@dataclass(eq=False)
+class Decomposition:
     """Triangle weights as integer numerators over one shared denominator.
 
-    Row i of `triangles` (sorted lexicographically, as `enumerate_triangles`
-    returns them) has weight numerators[i] / denominator. The readers
-    `items()`, `total()` and `edge_weight()` return Fractions, or correctly
-    rounded floats when `mode` is "float".
+    Row i of `triangles`, an (t, 3) int array of rows a < b < c ordered by
+    `_triangle_keys`, has weight numerators[i] / denominator, exactly: int64
+    behind a proven bound, else Python ints. `mode` only affects read-out.
     """
 
-    def __init__(self, graph, triangles, numerators, denominator, mode="exact"):
-        self.graph = graph
-        self.triangles = triangles
-        self.numerators = numerators
-        self.denominator = denominator
-        self.mode = mode
-        # Set by solve(): the flow value that was required and achieved.
-        self.required_flow = None
+    graph: Graph | None
+    triangles: np.ndarray
+    numerators: np.ndarray
+    denominator: int
+    mode: str = "exact"
+    # Set by solve(): the flow value that was required and reached.
+    required_flow: Fraction | None = None
 
-    def _weight(self, numerator):
+    @classmethod
+    def from_entries(cls, entries, graph=None):
+        """(triangle, weight) pairs over the lcm of the weight denominators;
+        Fraction(w) is exact for floats too. A triangle with a vertex id
+        outside [0, 2**63) becomes (-1, -1, -1), which is no graph's triangle.
+        """
+        rows, weights = [], []
+        for tri, w in entries:
+            fits = 0 <= min(tri) and max(tri) < 1 << 63
+            rows.append(tuple(tri) if fits else (-1, -1, -1))
+            weights.append(Fraction(w))
+        denominator = math.lcm(*(w.denominator for w in weights))
+        numerators = [w.numerator * (denominator // w.denominator) for w in weights]
+        dtype = _int_dtype(max(denominator, sum(map(abs, numerators))))
+        triangles = np.array(rows, np.int64).reshape(-1, 3)
+        return cls(graph, triangles, np.array(numerators, dtype), denominator)
+
+    @property
+    def entries(self):
+        """(triangle, Fraction) pairs, correctly rounded floats in float mode."""
+        d = self.denominator
         if self.mode == "exact":
-            return Fraction(numerator, self.denominator)
-        return numerator / self.denominator
-
-    def total(self):
-        return self._weight(sum(self.numerators.tolist()))
-
-    def edge_weight(self, u, v):
-        """Sum of the weights of the triangles containing edge (u, v)."""
-        self.graph.edge_id(u, v)
-        tris = self.triangles
-        rows = (tris == u).any(axis=1) & (tris == v).any(axis=1)
-        return self._weight(sum(self.numerators[rows].tolist()))
-
-    def items(self):
-        weight = self._weight
-        return [
-            (tuple(tri), weight(x))
-            for tri, x in zip(self.triangles.tolist(), self.numerators.tolist())
-        ]
+            weights = [Fraction(x, d) for x in self.numerators.tolist()]
+        else:
+            weights = [x / d for x in self.numerators.tolist()]
+        return list(zip(map(tuple, self.triangles.tolist()), weights))
 
 
 def _triangle_keys(rows, n):
@@ -284,24 +287,13 @@ class CutCertificate:
     required_flow: Fraction
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Triangles with weights covering every edge of the host graph exactly once."""
-
-    entries: list
-    graph: Graph | None = None
-
-    def total(self):
-        return sum(w for _, w in self.entries)
-
-
 def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS):
     """Redistribute uniform weights on a peeled residual graph.
 
-    Returns a TriangleWeightAssignment in which every edge weight equals
-    exactly 1, or a CutCertificate when the max flow misses the required
-    value. The flow and the transfers are always exact; `mode="float"` only
-    makes the assignment's items() floats.
+    Returns a Decomposition of the residual graph in which every edge weight
+    equals exactly 1, or a CutCertificate when the max flow misses the
+    required value. The flow and the transfers are always exact;
+    `mode="float"` only changes how the weights are read out.
     """
     triangles = enumerate_triangles(residual)
     uniform = initial_weight(residual, triangles=triangles)
@@ -329,21 +321,20 @@ def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS):
     denominator = 2 * network.denominator
     start = uniform.numerator * (denominator // uniform.denominator)
     dtype = _int_dtype(start + 3 * (residual.n - 3) * network.link_capacity)
-    assignment = TriangleWeightAssignment(
-        residual, triangles, np.full(len(triangles), start, dtype), denominator, mode
+    numerators = np.full(len(triangles), start, dtype)
+    assignment = Decomposition(
+        residual, triangles, numerators, denominator, mode, network.required_flow
     )
     apply_transfer(assignment, network.links, flows[link_base::2] - flows[link_base + 1 :: 2])
-    if 3 * sum(assignment.numerators.tolist()) != residual.m * denominator:
+    if 3 * sum(numerators.tolist()) != residual.m * denominator:
         raise AssertionError("total triangle weight drifted from m/3")
-    assignment.required_flow = network.required_flow
     return assignment
 
 
 def decompose(g, mode="exact", max_links=DEFAULT_MAX_LINKS):
     """Full pipeline on an arbitrary graph; peeled triangles carry weight one."""
-    one = Fraction(1) if mode == "exact" else 1.0
     if g.m == 0:
-        return Decomposition(entries=[], graph=g)
+        return with_peeled(g, [], None, mode)
     stats = degree_stats(g)
     if stats.deficiency >= REGIME_LIMIT:
         warnings.warn(
@@ -353,30 +344,57 @@ def decompose(g, mode="exact", max_links=DEFAULT_MAX_LINKS):
             stacklevel=2,
         )
     peel = peel_heavy_triangles(g)
-    entries = [(tri, one) for tri in peel.removed]
+    residual = None
     if peel.residual.m > 0:
-        outcome = solve(peel.residual, peel.deficiency, mode=mode, max_links=max_links)
-        if isinstance(outcome, CutCertificate):
-            return outcome
-        entries.extend(outcome.items())
-    entries.sort(key=lambda item: item[0])
-    return Decomposition(entries=entries, graph=g)
+        residual = solve(peel.residual, peel.deficiency, mode=mode, max_links=max_links)
+        if isinstance(residual, CutCertificate):
+            return residual
+    return with_peeled(g, peel.removed, residual, mode)
 
 
-def _format_weight(w):
-    return str(w) if isinstance(w, Fraction) else repr(w)
+def with_peeled(g, removed, residual, mode="exact"):
+    """The decomposition of g: the peeled triangles `removed` at weight one,
+    joined with the Decomposition `residual` (None when nothing is left).
+
+    Peeled and residual triangles are edge-disjoint, so no triangle repeats
+    and one argsort of their keys orders the rows.
+    """
+    if residual is None:
+        residual = Decomposition.from_entries([])
+    den = residual.denominator
+    dtype = residual.numerators.dtype if den < _INT64_LIMIT else object
+    triangles = np.concatenate([np.array(removed, np.int32).reshape(-1, 3), residual.triangles])
+    numerators = np.concatenate(
+        [np.full(len(removed), den, dtype), residual.numerators.astype(dtype)]
+    )
+    order = np.argsort(_triangle_keys(triangles, g.n))
+    return Decomposition(g, triangles[order], numerators[order], den, mode)
 
 
 def format_decomposition(d):
-    lines = [f"# triangles={len(d.entries)} total={_format_weight(d.total())}"]
-    for (a, b, c), w in d.entries:
-        lines.append(f"{a} {b} {c} {_format_weight(w)}")
+    """Header, then one `a b c weight` line per row: reduced `p/q` weights,
+    or correctly rounded floats whose left-to-right sum is the total."""
+    numerators = d.numerators
+    den = d.denominator
+    if d.mode == "exact":
+        common = np.gcd(numerators, den)
+        weights = [
+            str(p) if q == 1 else f"{p}/{q}"
+            for p, q in zip((numerators // common).tolist(), (den // common).tolist())
+        ]
+        total = str(Fraction(sum(numerators.tolist()), den))
+    else:
+        floats = [x / den for x in numerators.tolist()]
+        weights = [repr(w) for w in floats]
+        total = repr(sum(floats))
+    lines = [f"# triangles={len(weights)} total={total}"]
+    lines += [f"{a} {b} {c} {w}" for (a, b, c), w in zip(d.triangles.tolist(), weights)]
     return "\n".join(lines) + "\n"
 
 
-def parse_decomposition(text, mode="exact"):
-    """Read the decomposition text format; duplicate triangles are kept as-is
-    (the verifier sums them)."""
+def parse_decomposition(text):
+    """Read the decomposition text format, exactly; duplicate triangles are
+    kept as-is (the verifier sums them)."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -387,13 +405,13 @@ def parse_decomposition(text, mode="exact"):
             raise InputFormatError(f"line {lineno}: expected 'u v w weight'")
         try:
             a, b, c = int(parts[0]), int(parts[1]), int(parts[2])
-            weight = Fraction(parts[3]) if mode == "exact" else float(Fraction(parts[3]))
+            weight = Fraction(parts[3])
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from exc
         if not a < b < c:
             raise InputFormatError(f"line {lineno}: vertices must be strictly increasing")
         entries.append(((a, b, c), weight))
-    return Decomposition(entries=entries, graph=None)
+    return Decomposition.from_entries(entries)
 
 
 def format_cut_certificate(cert):

@@ -56,9 +56,6 @@ class Graph:
     def m(self):
         return int(self.edge_u.shape[0])
 
-    def has_edge(self, u, v):
-        return bool(self.adj[u, v])
-
     def edge_id(self, u, v):
         e = int(self.eid[u, v])
         if e < 0:
@@ -123,45 +120,21 @@ def degree_stats(g):
     return DegreeStats(min_degree, g.degrees, Fraction(g.n - min_degree, g.n))
 
 
-def common_neighbors(g, e):
-    """Vertices adjacent to both endpoints of edge e (the triangle partners of e)."""
-    if not 0 <= e < g.m:
-        raise KeyError(f"edge id {e} out of range")
-    u, v = g.endpoints(e)
-    return np.nonzero(g.adj[u] & g.adj[v])[0]
-
-
 def enumerate_triangles(g):
     """Every triangle once, as an (t, 3) int32 array with rows (a, b, c), a<b<c,
     sorted lexicographically."""
     return kernels.enumerate_triangle_array(g.adj, g.edge_u, g.edge_v)
 
 
-class RootedK4Link(NamedTuple):
-    """An unordered pair of disjoint edges spanning a K4, keyed e1 < e2."""
-
-    e1: int
-    e2: int
-
-
 @dataclass(frozen=True)
 class LinkSet:
     """All rooted-K4 links of a graph, canonically ordered by (e1, e2)."""
 
-    graph: Graph
     e1: np.ndarray
     e2: np.ndarray
 
     def __len__(self):
         return int(self.e1.shape[0])
-
-    def link(self, i):
-        return RootedK4Link(int(self.e1[i]), int(self.e2[i]))
-
-    def endpoint_vertices(self, i):
-        """The four K4 vertices of link i as ((p,q), (r,s)) for e1=(p,q), e2=(r,s)."""
-        g = self.graph
-        return g.endpoints(int(self.e1[i])), g.endpoints(int(self.e2[i]))
 
 
 def enumerate_rooted_k4_links(g, max_links=DEFAULT_MAX_LINKS):
@@ -176,7 +149,7 @@ def enumerate_rooted_k4_links(g, max_links=DEFAULT_MAX_LINKS):
     e1, e2 = result
     e1.setflags(write=False)
     e2.setflags(write=False)
-    return LinkSet(g, e1, e2)
+    return LinkSet(e1, e2)
 
 
 def triangle_edge_ids(g, triangles):

@@ -223,7 +223,7 @@ def lp_feasible(g, max_triangles=DEFAULT_MAX_LP_TRIANGLES):
     `max_triangles` triangles abort with LPSizeError.
     """
     if g.m == 0:
-        return FeasibilityVerdict(True, Decomposition(entries=[], graph=g))
+        return FeasibilityVerdict(True, Decomposition.from_entries([], graph=g))
     triangles = enumerate_triangles(g)
     t = int(triangles.shape[0])
     if t > max_triangles:
@@ -236,15 +236,15 @@ def lp_feasible(g, max_triangles=DEFAULT_MAX_LP_TRIANGLES):
     if not feasible:
         return FeasibilityVerdict(False, None)
 
-    entries = []
-    sums = [Fraction(0)] * g.m
-    for j, tri in enumerate(map(tuple, triangles.tolist())):
-        w = witness.get(j, Fraction(0))
-        if w < 0:
-            raise AssertionError("simplex produced a negative weight")
-        entries.append((tri, w))
-        for e in ids[j].tolist():
-            sums[e] += w
-    if any(s != 1 for s in sums):
+    d = Decomposition.from_entries(
+        ((tri, witness.get(j, 0)) for j, tri in enumerate(triangles.tolist())), graph=g
+    )
+    if (d.numerators < 0).any():
+        raise AssertionError("simplex produced a negative weight")
+    # from_entries keeps every numerator sum within the numerators' dtype.
+    sums = np.zeros(g.m, d.numerators.dtype)
+    for column in ids.T:
+        np.add.at(sums, column, d.numerators)
+    if (sums != d.denominator).any():
         raise AssertionError("simplex witness does not cover every edge exactly")
-    return FeasibilityVerdict(True, Decomposition(entries=entries, graph=g))
+    return FeasibilityVerdict(True, d)

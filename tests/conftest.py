@@ -41,7 +41,7 @@ def brute_triangles(g):
     """All triangles by cubic scan, sorted."""
     out = []
     for a, b, c in combinations(range(g.n), 3):
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+        if g.adj[a, b] and g.adj[a, c] and g.adj[b, c]:
             out.append((a, b, c))
     return out
 
@@ -50,7 +50,7 @@ def brute_k4s(g):
     """All K4 vertex sets by quartic scan, sorted."""
     out = []
     for quad in combinations(range(g.n), 4):
-        if all(g.has_edge(x, y) for x, y in combinations(quad, 2)):
+        if all(g.adj[x, y] for x, y in combinations(quad, 2)):
             out.append(quad)
     return out
 
@@ -67,7 +67,7 @@ def brute_links(g):
 
 def brute_edge_triangle_count(g, u, v):
     return sum(
-        1 for w in range(g.n) if w not in (u, v) and g.has_edge(u, w) and g.has_edge(v, w)
+        1 for w in range(g.n) if w not in (u, v) and g.adj[u, w] and g.adj[v, w]
     )
 
 

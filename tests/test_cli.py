@@ -18,6 +18,9 @@ from tridecomp.instances import write_edge_list
 from conftest import complete_minus_edge, complete_graph
 
 
+K4_HALVES = "0 1 2 1/2\n0 1 3 1/2\n0 2 3 1/2\n1 2 3 1/2\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -126,7 +129,7 @@ class TestDecompose:
 
 
 class TestGoldenOutput:
-    """Exact-mode `decompose` stdout, pinned byte for byte by its sha256."""
+    """`decompose` stdout, pinned byte for byte by its sha256."""
 
     @pytest.mark.parametrize(
         "argv, code, first_line, digest",
@@ -148,6 +151,14 @@ class TestGoldenOutput:
                 2,
                 "# INFEASIBLE-BY-FLOW M=45/16 cut=14639/7200",
                 "2aae2c1335aa22c237b112f226b53626474cb6941c7925c115b5cf7f0f2acbd1",
+            ),
+            (
+                # Correctly rounded weights; the total is their left-to-right
+                # float sum.
+                ("--gen", "complete-minus-hamilton", "--n", "13", "--mode", "float"),
+                0,
+                "# triangles=156 total=21.6666666666667",
+                "27c11f9e6b0970f08e31f166573c9be12edbae15a190db500c2941c39f64f9d5",
             ),
         ],
     )
@@ -191,6 +202,49 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", str(graph_path), str(decomp_path))
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize(
+        "line",
+        ["0 1 99999999999999999999999 0", "-1 1 2 0", "0 1 2 0"],
+    )
+    def test_out_of_range_vertices_are_invalid(self, capsys, tmp_path, line):
+        # Ids outside [0, n), even beyond int64, count as invalid triangles;
+        # "0 1 2 0" is a valid triangle with a zero weight, so it passes.
+        graph_path = tmp_path / "g.el"
+        decomp_path = tmp_path / "d.txt"
+        graph_path.write_text(write_edge_list(complete_graph(4)))
+        decomp_path.write_text(K4_HALVES + line + "\n")
+        for mode in ("exact", "float"):
+            code, out, _ = run(capsys, "verify", str(graph_path), str(decomp_path), "--mode", mode)
+            if line == "0 1 2 0":
+                assert (code, out.split(":")[0]) == (0, "PASS")
+            else:
+                assert code == 1
+                assert out.startswith("FAIL: worst edge deviation 0")
+                assert out.endswith(", 0 negative weights, 1 invalid triangles\n")
+
+    def test_float_mode_weight_beyond_float_range(self, capsys, tmp_path):
+        graph_path = tmp_path / "g.el"
+        decomp_path = tmp_path / "d.txt"
+        graph_path.write_text(write_edge_list(complete_graph(4)))
+        decomp_path.write_text(K4_HALVES + "0 1 2 1e400\n")
+        code, out, _ = run(capsys, "verify", str(graph_path), str(decomp_path), "--mode", "float")
+        assert code == 1
+        assert out == "FAIL: worst edge deviation inf, 0 negative weights, 0 invalid triangles\n"
+
+    def test_float_mode_passes_within_tolerance(self, capsys, tmp_path):
+        # Each edge of K4 lies in two triangles, so every edge sum is off by
+        # exactly 2e-10 from 1: inside the 1e-9 float tolerance, a failure in
+        # exact mode.
+        graph_path = tmp_path / "g.el"
+        decomp_path = tmp_path / "d.txt"
+        graph_path.write_text(write_edge_list(complete_graph(4)))
+        decomp_path.write_text(K4_HALVES.replace("1/2", "0.5000000001"))
+        code, out, _ = run(capsys, "verify", str(graph_path), str(decomp_path), "--mode", "float")
+        assert (code, out.split(":")[0]) == (0, "PASS")
+        code, out, _ = run(capsys, "verify", str(graph_path), str(decomp_path))
+        assert code == 1
+        assert out == "FAIL: worst edge deviation 1/5000000000, 0 negative weights, 0 invalid triangles\n"
 
     def test_malformed_decomposition(self, capsys, tmp_path):
         graph_path = tmp_path / "g.el"

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from tridecomp.decompose import (
     CutCertificate,
     Decomposition,
-    TriangleWeightAssignment,
     apply_transfer,
     build_network,
     decompose,
@@ -46,6 +45,7 @@ from conftest import (
     complete_graph,
     complete_minus_hamilton,
     make_graph,
+    edge_weight_sums,
     reference_transfer,
 )
 from test_graph import graphs_strategy
@@ -130,51 +130,57 @@ class TestApplyTransfer:
         if triangles is None:
             triangles = enumerate_triangles(k4)
         nums = np.full(len(triangles), 4, np.int64)
-        return TriangleWeightAssignment(k4, triangles, nums, 8)
+        return Decomposition(k4, triangles, nums, 8)
 
     def _links(self, k4, *pairs):
         e1 = [k4.edge_id(*a) for a, _ in pairs]
         e2 = [k4.edge_id(*b) for _, b in pairs]
-        return LinkSet(k4, np.array(e1, np.int32), np.array(e2, np.int32))
+        return LinkSet(np.array(e1, np.int32), np.array(e2, np.int32))
+
+    def _edge_sums(self, k4, a):
+        sums = edge_weight_sums(k4, a.entries)
+        return {k4.endpoints(e): w for e, w in sums.items()}
 
     def test_quarter_transfer(self, k4):
         a = self._uniform_k4(k4)
         apply_transfer(a, self._links(k4, ((0, 1), (2, 3))), [1])
-        assert dict(a.items()) == {
+        assert dict(a.entries) == {
             (0, 1, 2): Fraction(3, 8),
             (0, 1, 3): Fraction(3, 8),
             (0, 2, 3): Fraction(5, 8),
             (1, 2, 3): Fraction(5, 8),
         }
         # Direct recomputation of all six edge sums.
-        assert a.edge_weight(0, 1) == Fraction(3, 4)
-        assert a.edge_weight(2, 3) == Fraction(5, 4)
+        sums = self._edge_sums(k4, a)
+        assert sums[0, 1] == Fraction(3, 4)
+        assert sums[2, 3] == Fraction(5, 4)
         for u, v in ((0, 2), (0, 3), (1, 2), (1, 3)):
-            assert a.edge_weight(u, v) == 1
-        assert a.total() == 2
+            assert sums[u, v] == 1
+        assert sum(w for _, w in a.entries) == 2
 
     def test_zero_transfer_is_identity(self, k4):
         a = self._uniform_k4(k4)
-        before = a.items()
+        before = a.entries
         apply_transfer(a, self._links(k4, ((0, 1), (2, 3))), [0])
-        assert a.items() == before
+        assert a.entries == before
 
     def test_inverse_transfers_cancel(self, k4):
         # The same link twice in one call: both flows land on the same rows.
         a = self._uniform_k4(k4)
-        before = a.items()
+        before = a.entries
         pair = ((0, 2), (1, 3))
         apply_transfer(a, self._links(k4, pair, pair), [1, -1])
-        assert a.items() == before
+        assert a.entries == before
         apply_transfer(a, self._links(k4, pair), [1])
         apply_transfer(a, self._links(k4, pair), [-1])
-        assert a.items() == before
+        assert a.entries == before
 
     def test_reverse_direction(self, k4):
         a = self._uniform_k4(k4)
         apply_transfer(a, self._links(k4, ((0, 1), (2, 3))), [-1])
-        assert a.edge_weight(0, 1) == Fraction(5, 4)
-        assert a.edge_weight(2, 3) == Fraction(3, 4)
+        sums = self._edge_sums(k4, a)
+        assert sums[0, 1] == Fraction(5, 4)
+        assert sums[2, 3] == Fraction(3, 4)
 
     def test_unknown_triangle(self, k4):
         triangles = enumerate_triangles(k4)[1:]  # drop (0, 1, 2)
@@ -187,8 +193,8 @@ class TestSolve:
     def test_k7_keeps_uniform_weights(self):
         g = complete_graph(7)
         assignment = solve(g, degree_stats(g).deficiency)
-        assert isinstance(assignment, TriangleWeightAssignment)
-        assert all(w == Fraction(1, 5) for _, w in assignment.items())
+        assert isinstance(assignment, Decomposition)
+        assert all(w == Fraction(1, 5) for _, w in assignment.entries)
 
     def test_k5_minus_edge_cut(self, k5_minus_edge):
         g = k5_minus_edge
@@ -233,11 +239,12 @@ class TestSolve:
         net = build_network(g, uniform, stats.deficiency)
         assert net.required_flow > 0
         assignment = solve(g, stats.deficiency)
-        assert isinstance(assignment, TriangleWeightAssignment)
-        assert assignment.total() == Fraction(g.m, 3)
-        for e in range(g.m):
-            assert assignment.edge_weight(*g.endpoints(e)) == 1
-        assert all(w >= 0 for _, w in assignment.items())
+        assert isinstance(assignment, Decomposition)
+        assert assignment.required_flow == net.required_flow
+        entries = assignment.entries
+        assert sum(w for _, w in entries) == Fraction(g.m, 3)
+        assert set(edge_weight_sums(g, entries).values()) == {1}
+        assert all(w >= 0 for _, w in entries)
 
     def test_enumerates_triangles_once(self, monkeypatch):
         calls = []
@@ -253,17 +260,18 @@ class TestSolve:
         # weight assignment instead of stopping at a cut certificate.
         g = complete_minus_hamilton(13)
         assignment = solve(g, degree_stats(g).deficiency)
-        assert isinstance(assignment, TriangleWeightAssignment)
+        assert isinstance(assignment, Decomposition)
         assert len(calls) == 1
 
     def test_float_mode(self):
         g = complete_minus_hamilton(20)
         assignment = solve(g, degree_stats(g).deficiency, mode="float")
-        for e in range(g.m):
-            assert abs(assignment.edge_weight(*g.endpoints(e)) - 1.0) < 1e-9
+        for total in edge_weight_sums(g, assignment.entries).values():
+            assert abs(total - 1) < 1e-9
+        assert verify(g, assignment, mode="float").ok
         # Float weights are the exact ones, correctly rounded.
         exact = solve(g, degree_stats(g).deficiency)
-        assert assignment.items() == [(tri, float(w)) for tri, w in exact.items()]
+        assert assignment.entries == [(tri, float(w)) for tri, w in exact.entries]
 
     def test_int64_guard_boundary(self, monkeypatch):
         # Numerators use int64 exactly when the bound start + 3(n-3)c, with
@@ -284,7 +292,7 @@ class TestSolve:
         narrow = solve(g, deficiency)
         assert narrow.numerators.dtype == np.int64
         assert int(np.abs(narrow.numerators).max()) <= bound
-        assert narrow.items() == wide.items()
+        assert narrow.entries == wide.entries
 
 
 def triangle_closed(g):
@@ -341,7 +349,7 @@ class TestDifferential:
         if expected is None:
             assert isinstance(outcome, CutCertificate)
         else:
-            assert dict(outcome.items()) == expected
+            assert dict(outcome.entries) == expected
 
     def _against_python_ints(self, g, deficiency):
         outcome = solve(g, deficiency)
@@ -351,7 +359,7 @@ class TestDifferential:
         else:
             assert outcome.numerators.dtype == np.int64
             assert wide.numerators.dtype == object
-            assert wide.items() == outcome.items()
+            assert wide.entries == outcome.entries
 
     @settings(max_examples=80, deadline=None)
     @given(graphs_strategy(max_n=12), DEFICIENCIES)

@@ -14,7 +14,6 @@ from tridecomp.graph import (
     DENSE_BYTES_PER_CELL,
     MAX_DENSE_BYTES,
     check_dense_size,
-    common_neighbors,
     degree_stats,
     enumerate_rooted_k4_links,
     enumerate_triangles,
@@ -113,24 +112,37 @@ class TestDegreeStats:
         assert int(g.degrees.sum()) == 2 * g.m
 
 
+def common_neighbors(g, u, v):
+    """The third vertices of the enumerated triangles through edge (u, v)."""
+    tris = enumerate_triangles(g)
+    rows = (tris == u).any(axis=1) & (tris == v).any(axis=1)
+    return sorted(set(tris[rows].ravel().tolist()) - {u, v})
+
+
 class TestCommonNeighbors:
+    """Triangle partners of an edge, from the enumerated triangles and T_e."""
+
     def test_complete(self, k5):
-        assert len(common_neighbors(k5, k5.edge_id(0, 1))) == 3
+        assert common_neighbors(k5, 0, 1) == [2, 3, 4]
+        assert triangles_per_edge(k5)[k5.edge_id(0, 1)] == 3
 
     def test_k5_minus_edge(self, k5_minus_edge):
         g = k5_minus_edge
         expected = brute_edge_triangle_count(g, 0, 1)
-        got = common_neighbors(g, g.edge_id(0, 1))
         assert expected == 3
-        assert sorted(got.tolist()) == [2, 3, 4]
+        assert common_neighbors(g, 0, 1) == [2, 3, 4]
+        assert triangles_per_edge(g)[g.edge_id(0, 1)] == expected
 
     def test_path_has_none(self):
         g = make_graph([(0, 1), (1, 2)], 3)
-        assert common_neighbors(g, g.edge_id(0, 1)).size == 0
+        assert common_neighbors(g, 0, 1) == []
+        assert triangles_per_edge(g).tolist() == [0, 0]
 
     def test_bad_edge_id(self, k4):
         with pytest.raises(KeyError):
-            common_neighbors(k4, 99)
+            k4.edge_id(0, 0)
+        with pytest.raises(IndexError):
+            k4.endpoints(99)
 
 
 class TestTriangles:
@@ -200,9 +212,11 @@ class TestLinks:
 
     def test_endpoint_vertices_are_disjoint(self, k5):
         links = enumerate_rooted_k4_links(k5)
-        for i in range(len(links)):
-            (p, q), (r, s) = links.endpoint_vertices(i)
-            assert len({p, q, r, s}) == 4
+        e1, e2 = links.e1, links.e2
+        vertices = np.stack([k5.edge_u[e1], k5.edge_v[e1], k5.edge_u[e2], k5.edge_v[e2]], axis=1)
+        assert len(links) == 15
+        for quad in vertices.tolist():
+            assert len(set(quad)) == 4
 
     def test_guardrail(self, k5):
         with pytest.raises(LinkLimitError):

@@ -1,11 +1,20 @@
 """Verifier behavior: exact sums, negativity, invalid keys, duplicates, modes."""
 
+import importlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from tridecomp.verify import verify
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_graph
+from tridecomp.decompose import Decomposition
+from tridecomp.verify import FLOAT_EDGE_TOLERANCE, FLOAT_WEIGHT_FLOOR, verify
+
+from conftest import brute_triangles, complete_graph, edge_weight_sums, make_graph
+from test_graph import graphs_strategy
 
 
 def uniform_k4_entries(w):
@@ -98,3 +107,90 @@ class TestFloatMode:
 def test_report_string(k4):
     assert "PASS" in str(verify(k4, uniform_k4_entries(Fraction(1, 2))))
     assert "FAIL" in str(verify(k4, uniform_k4_entries(Fraction(1, 3))))
+
+
+def reference_report(g, entries, mode):
+    """(ok, deviation, negatives, invalid) by Fraction sums over the entries
+    that are triangles of g, found by a direct scan."""
+    triangles = set(brute_triangles(g))
+    valid = [(tri, Fraction(w)) for tri, w in entries if tuple(tri) in triangles]
+    invalid = len(entries) - len(valid)
+    sums = edge_weight_sums(g, valid).values()
+    worst = max((abs(s - 1) for s in sums), default=Fraction(0))
+    exact = mode == "exact"
+    floor = Fraction(0) if exact else Fraction(FLOAT_WEIGHT_FLOOR)
+    negatives = sum(1 for _, w in entries if Fraction(w) < floor)
+    sums_ok = worst == 0 if exact else worst <= Fraction(FLOAT_EDGE_TOLERANCE)
+    ok = sums_ok and invalid == 0 and negatives == 0
+    return ok, worst if exact else float(worst), negatives, invalid
+
+
+# Small denominators mix; those above 2**62 force the object-array sums.
+DENOMINATORS = st.sampled_from([1, 2, 3, 7, 12, (1 << 62) + 1, (1 << 64) - 59])
+WEIGHTS = st.one_of(
+    st.builds(Fraction, st.integers(-3, 12), DENOMINATORS),
+    st.sampled_from([0, 1, 0.5, -1e-13, 1e-10, 0.1]),
+)
+BAD_IDS = st.sampled_from([-1, -(1 << 70), 1 << 63, 10**23])
+
+
+@st.composite
+def claimed_entries(draw):
+    """A graph and entries: its triangles (some repeated), plus invalid
+    triples, with mixed weights; half the draws start from an exact
+    decomposition of a complete graph split into duplicate pieces."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 7))
+        g = complete_graph(n)
+        entries = []
+        for tri in brute_triangles(g):
+            piece = Fraction(draw(st.integers(0, 5)), draw(DENOMINATORS))
+            entries += [(tri, piece), (tri, Fraction(1, n - 2) - piece)]
+    else:
+        g = draw(graphs_strategy(max_n=7))
+        tris = brute_triangles(g)
+        picks = draw(st.lists(st.sampled_from(tris), max_size=12)) if tris else []
+        entries = [(tri, draw(WEIGHTS)) for tri in picks]
+    triples = [
+        st.tuples(*[st.integers(-1, g.n + 1)] * 3),
+        st.tuples(st.integers(0, 2), st.integers(3, 5), BAD_IDS),
+    ]
+    if g.n >= 3:
+        # Ordered vertex triples of g, most of them not triangles.
+        triples.append(st.sampled_from(list(combinations(range(g.n), 3))))
+    extra = draw(st.lists(st.one_of(triples), max_size=3))
+    entries += [(tri, draw(WEIGHTS)) for tri in extra]
+    return g, draw(st.permutations(entries))
+
+
+class TestDifferential:
+    """verify against a Fraction recomputation through conftest.edge_weight_sums."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(claimed_entries(), st.sampled_from(["exact", "float"]))
+    def test_matches_reference(self, drawn, mode):
+        g, entries = drawn
+        report = verify(g, entries, mode=mode)
+        got = (
+            report.ok,
+            report.worst_edge_deviation,
+            report.negative_weights,
+            report.invalid_triangles,
+        )
+        assert got == reference_report(g, entries, mode)
+
+    @pytest.mark.parametrize("limit", [0, 1 << 62])
+    def test_int64_and_object_sums_agree(self, monkeypatch, k5, limit):
+        # The same valid decomposition over int64 and over Python-int sums.
+        module = importlib.import_module("tridecomp.decompose")
+        monkeypatch.setattr(module, "_INT64_LIMIT", limit)
+        entries = [(tri, Fraction(1, 3)) for tri in brute_triangles(k5)]
+        assert verify(k5, entries).ok
+        assert not verify(k5, entries[1:]).ok
+
+    def test_decomposition_and_entries_agree(self, k5):
+        d = Decomposition.from_entries(
+            [(tri, Fraction(1, 3)) for tri in combinations(range(5), 3)], graph=k5
+        )
+        assert d.numerators.dtype == np.int64
+        assert verify(k5, d) == verify(k5, d.entries)
