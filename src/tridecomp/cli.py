@@ -65,15 +65,27 @@ def _add_input_flags(p):
     p.add_argument("--parts", type=_parts, help="part sizes for complete-multipartite")
 
 
+def _read_text(path):
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _check_caps(args):
+    """A guardrail cap of 0 is valid; a negative one is an input error."""
+    for flag in ("max_links", "max_lp_triangles"):
+        cap = getattr(args, flag, 0)
+        if cap < 0:
+            raise InputFormatError(f"--{flag.replace('_', '-')} must be at least 0, got {cap}")
+
+
 def _load_graph(args):
     if bool(args.input) == bool(args.gen):
         raise InputFormatError("exactly one of --input or --gen is required")
     if args.input:
-        try:
-            with open(args.input) as fh:
-                return read_edge_list(fh.read())
-        except OSError as exc:
-            raise InputFormatError(f"cannot read {args.input}: {exc}") from exc
+        return read_edge_list(_read_text(args.input))
     spec = GenSpec(
         family=args.gen,
         n=args.n,
@@ -148,13 +160,8 @@ def cmd_oracle(args):
 
 
 def cmd_verify(args):
-    try:
-        with open(args.graph) as fh:
-            g = read_edge_list(fh.read())
-        with open(args.decomposition) as fh:
-            d = parse_decomposition(fh.read())
-    except OSError as exc:
-        raise InputFormatError(str(exc)) from exc
+    g = read_edge_list(_read_text(args.graph))
+    d = parse_decomposition(_read_text(args.decomposition))
     report = verify(g, d, mode=args.mode)
     print(report)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
@@ -313,6 +320,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_caps(args)
         return args.func(args)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

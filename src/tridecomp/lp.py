@@ -1,12 +1,12 @@
 """Exact feasibility oracle: phase-1 simplex over the edge/triangle incidence.
 
 Decides whether non-negative triangle weights exist whose sums over each edge
-equal exactly 1, by minimizing the total artificial slack. The tableau is held
-as integer numerator rows with one positive denominator per row, gcd-reduced
-after every pivot; the hot path is vectorized numpy int64 guarded by a
-proven-no-overflow bound, falling back losslessly to Python big ints when the
-guard trips. Both paths perform the identical pivot sequence, so results are
-bit-reproducible.
+equal exactly 1, by minimizing the total artificial slack. The tableau is one
+pair of arrays: integer numerator rows `nums` and one positive denominator per
+row `dens`, gcd-reduced after every pivot. There is one pivot, `_pivot`. It
+runs on int64 while every entry and denominator is below `_NUMPY_GUARD` =
+2^31, so no cross product overflows; once the guard trips, both arrays are
+promoted to object arrays of Python ints and the same pivot continues on them.
 
 Pivoting. The entering column is the one with the most negative objective-row
 entry (the largest-coefficient rule), ties going to the smallest index; the
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .decompose import Decomposition
+from .decompose import Decomposition, _int_dtype
 from .errors import LPSizeError
 from .graph import enumerate_triangles, triangle_edge_ids
+from .verify import verify
 
 DEFAULT_MAX_LP_TRIANGLES = 5000
 
@@ -57,95 +57,22 @@ class FeasibilityVerdict:
         return self.feasible
 
 
-class _Overflow(Exception):
-    pass
-
-
-class _NumpyTableau:
-    def __init__(self, nums, dens):
-        self.nums = nums
-        self.dens = dens
-
-    def entry(self, i, j):
-        return int(self.nums[i, j]), int(self.dens[i])
-
-    def entering(self, limit, banned, bland):
-        row = self.nums[-1, :limit]
-        candidates = np.flatnonzero((row < 0) & ~banned)
-        if candidates.size == 0:
-            return None
-        if bland:
-            return int(candidates[0])
-        return int(candidates[np.argmin(row[candidates])])
-
-    def column_signs(self, col, rows):
-        return self.nums[:rows, col]
-
-    def pivot(self, r, c):
-        nums, dens = self.nums, self.dens
-        peak = max(int(np.abs(nums).max(initial=0)), int(dens.max(initial=1)))
-        if peak >= _NUMPY_GUARD:
-            raise _Overflow
-        p = int(nums[r, c])
-        col = nums[:, c].copy()
-        pivot_row = nums[r].copy()
-        nums *= p
-        nums -= np.outer(col, pivot_row)
-        nums[r] = pivot_row
-        dens *= p
-        dens[r] = p
-        g = np.gcd.reduce(np.abs(nums), axis=1)
-        g = np.gcd(g, dens)
-        g[g == 0] = 1
-        nums //= g[:, None]
-        dens //= g
-
-    def to_python(self):
-        return _PyTableau(self.nums.tolist(), self.dens.tolist())
-
-
-class _PyTableau:
-    def __init__(self, nums, dens):
-        self.nums = nums
-        self.dens = dens
-
-    def entry(self, i, j):
-        return self.nums[i][j], self.dens[i]
-
-    def entering(self, limit, banned, bland):
-        row = self.nums[-1]
-        candidates = [j for j in range(limit) if row[j] < 0 and not banned[j]]
-        if not candidates:
-            return None
-        if bland:
-            return candidates[0]
-        return min(candidates, key=row.__getitem__)
-
-    def column_signs(self, col, rows):
-        return [self.nums[i][col] for i in range(rows)]
-
-    def pivot(self, r, c):
-        nums, dens = self.nums, self.dens
-        p = nums[r][c]
-        pivot_row = nums[r]
-        for i in range(len(nums)):
-            if i == r:
-                continue
-            a = nums[i][c]
-            if a == 0:
-                # Value-preserving scaling only; the row is already reduced.
-                continue
-            row = [x * p - a * y for x, y in zip(nums[i], pivot_row)]
-            den = dens[i] * p
-            g = math.gcd(den, *row) or 1
-            nums[i] = [x // g for x in row]
-            dens[i] = den // g
-        g = math.gcd(p, *pivot_row) or 1
-        nums[r] = [x // g for x in pivot_row]
-        dens[r] = p // g
-
-    def to_python(self):
-        return self
+def _pivot(nums, dens, r, c):
+    """Pivot in place on entry (r, c), which is positive: row i becomes
+    (p * row_i - a_i * row_r) / (p * den_i), then every row is gcd-reduced.
+    Runs unchanged on int64 and on object arrays of Python ints."""
+    p = nums[r, c]
+    col = nums[:, c].copy()
+    pivot_row = nums[r].copy()
+    nums *= p
+    nums -= np.outer(col, pivot_row)
+    nums[r] = pivot_row
+    dens *= p
+    dens[r] = p
+    g = np.gcd(np.gcd.reduce(np.abs(nums), axis=1), dens)
+    g[g == 0] = 1
+    nums //= g[:, None]
+    dens //= g
 
 
 def _initial_tableau(ids, m):
@@ -160,30 +87,32 @@ def _initial_tableau(ids, m):
     # Minus the column sums: each triangle column holds three ones.
     nums[m, :t] = -3
     nums[m, -1] = -m
-    return _NumpyTableau(nums, np.ones(m + 1, np.int64))
+    return nums, np.ones(m + 1, np.int64)
 
 
 def _phase_one(ids, m):
-    """Run the phase-1 simplex; returns (slack_is_zero, witness dict col->Fraction)."""
+    """Run the phase-1 simplex; returns the final basis and (nums, dens)."""
     t = ids.shape[0]
-    rhs = t + m
-    tableau = _initial_tableau(ids, m)
+    nums, dens = _initial_tableau(ids, m)
     basis = list(range(t, t + m))
     banned = np.zeros(t + m, np.bool_)
     stalled = 0
 
     while True:
-        entering = tableau.entering(t + m, banned, stalled >= _STALL_LIMIT)
-        if entering is None:
-            break
-        col = tableau.column_signs(entering, m)
+        objective = nums[m, : t + m]
+        candidates = np.flatnonzero((objective < 0) & ~banned)
+        if candidates.size == 0:
+            return basis, nums, dens
+        if stalled >= _STALL_LIMIT:
+            entering = int(candidates[0])
+        else:
+            entering = int(candidates[np.argmin(objective[candidates])])
+        rows = np.flatnonzero(nums[:m, entering] > 0)
         leave_row = None
         best_num = best_den = None
-        for i in range(m):
-            a = int(col[i])
-            if a <= 0:
-                continue
-            rn, _ = tableau.entry(i, rhs)
+        for i, a, rn in zip(
+            rows.tolist(), nums[rows, entering].tolist(), nums[rows, -1].tolist()
+        ):
             # Ratios share the row denominator with the pivot entry, so the
             # comparison rhs_i/a_i < rhs_k/a_k is the integer cross product.
             if leave_row is None or rn * best_den < best_num * a or (
@@ -194,25 +123,15 @@ def _phase_one(ids, m):
         if leave_row is None:
             raise AssertionError("phase-1 objective is bounded; no pivot row found")
         stalled = stalled + 1 if best_num == 0 else 0
-        try:
-            tableau.pivot(leave_row, entering)
-        except _Overflow:
-            tableau = tableau.to_python()
-            tableau.pivot(leave_row, entering)
+        if nums.dtype != object:
+            peak = max(int(np.abs(nums).max(initial=0)), int(dens.max(initial=1)))
+            if peak >= _NUMPY_GUARD:
+                nums, dens = nums.astype(object), dens.astype(object)
+        _pivot(nums, dens, leave_row, entering)
         leaving = basis[leave_row]
         if leaving >= t:
             banned[leaving] = True
         basis[leave_row] = entering
-
-    slack_num, _ = tableau.entry(m, rhs)
-    if slack_num != 0:
-        return False, None
-    witness = {}
-    for i in range(m):
-        if basis[i] < t:
-            rn, rd = tableau.entry(i, rhs)
-            witness[basis[i]] = Fraction(rn, rd)
-    return True, witness
 
 
 def lp_feasible(g, max_triangles=DEFAULT_MAX_LP_TRIANGLES):
@@ -231,20 +150,21 @@ def lp_feasible(g, max_triangles=DEFAULT_MAX_LP_TRIANGLES):
     if t == 0:
         return FeasibilityVerdict(False, None)
 
-    ids = triangle_edge_ids(g, triangles)
-    feasible, witness = _phase_one(ids, g.m)
-    if not feasible:
+    basis, nums, dens = _phase_one(triangle_edge_ids(g, triangles), g.m)
+    if nums[-1, -1] != 0:
         return FeasibilityVerdict(False, None)
 
-    d = Decomposition.from_entries(
-        ((tri, witness.get(j, 0)) for j, tri in enumerate(triangles.tolist())), graph=g
-    )
-    if (d.numerators < 0).any():
-        raise AssertionError("simplex produced a negative weight")
-    # from_entries keeps every numerator sum within the numerators' dtype.
-    sums = np.zeros(g.m, d.numerators.dtype)
-    for column in ids.T:
-        np.add.at(sums, column, d.numerators)
-    if (sums != d.denominator).any():
-        raise AssertionError("simplex witness does not cover every edge exactly")
+    # Basic triangle columns carry the values rhs_i / den_i; all others are 0.
+    rows = [i for i, j in enumerate(basis) if j < t]
+    rhs, den = nums[rows, -1], dens[rows]
+    common = np.gcd(rhs, den)
+    values = list(zip((rhs // common).tolist(), (den // common).tolist()))
+    denominator = math.lcm(*(q for _, q in values))
+    scaled = [p * (denominator // q) for p, q in values]
+    numerators = np.zeros(t, _int_dtype(max(denominator, sum(map(abs, scaled)))))
+    numerators[[basis[i] for i in rows]] = scaled
+    d = Decomposition(g, triangles, numerators, denominator)
+    report = verify(g, d)
+    if not report.ok:
+        raise AssertionError(f"simplex witness failed to verify: {report}")
     return FeasibilityVerdict(True, d)

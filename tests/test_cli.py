@@ -20,6 +20,9 @@ from conftest import complete_minus_edge, complete_graph
 
 K4_HALVES = "0 1 2 1/2\n0 1 3 1/2\n0 2 3 1/2\n1 2 3 1/2\n"
 
+# The start of an executable: bytes 0x80-0xff alone are never valid UTF-8.
+NOT_UTF8 = b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0x100))
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -73,6 +76,26 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", "--input", "/nonexistent/g.el")
         assert code == 3
         assert "input error" in err
+
+    def test_non_utf8_input_exit_3(self, capsys, tmp_path):
+        graph_path = tmp_path / "g.el"
+        graph_path.write_bytes(NOT_UTF8)
+        code, out, err = run(capsys, "decompose", "--input", str(graph_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"input error: cannot read {graph_path}:")
+
+    @pytest.mark.parametrize("flag", ["--max-links", "--max-lp-triangles"])
+    def test_negative_cap_exit_3(self, capsys, flag):
+        code, out, err = run(capsys, "decompose", "--gen", "complete", "--n", "8", flag, "-1")
+        assert code == 3
+        assert out == ""
+        assert err == f"input error: {flag} must be at least 0, got -1\n"
+
+    def test_zero_max_links_is_a_guardrail(self, capsys):
+        code, _, err = run(capsys, "decompose", "--gen", "complete", "--n", "8", "--max-links", "0")
+        assert code == 4
+        assert err.startswith("guardrail:")
 
     def test_gen_and_input_conflict(self, capsys, tmp_path):
         code, _, _ = run(
@@ -129,25 +152,25 @@ class TestDecompose:
 
 
 class TestGoldenOutput:
-    """`decompose` stdout, pinned byte for byte by its sha256."""
+    """`decompose` and `oracle` stdout, pinned byte for byte by its sha256."""
 
     @pytest.mark.parametrize(
         "argv, code, first_line, digest",
         [
             (
-                ("--gen", "complete-minus-hamilton", "--n", "13"),
+                ("decompose", "--gen", "complete-minus-hamilton", "--n", "13"),
                 0,
                 "# triangles=156 total=65/3",
                 "2ce323029ae0423466bc4a30fd99c07443bee037355e27cc12ad1310d8c3042c",
             ),
             (
-                ("--gen", "random-min-degree", "--n", "14", "--fraction", "4/5", "--seed", "0"),
+                ("decompose", "--gen", "random-min-degree", "--n", "14", "--fraction", "4/5", "--seed", "0"),
                 0,
                 "# triangles=280 total=28",
                 "24f7fe6ade6e340043d7ab9da433467a0b33bd64d56211af8787af179fd67c9f",
             ),
             (
-                ("--gen", "random-min-degree", "--n", "14", "--fraction", "7/10", "--seed", "0"),
+                ("decompose", "--gen", "random-min-degree", "--n", "14", "--fraction", "7/10", "--seed", "0"),
                 2,
                 "# INFEASIBLE-BY-FLOW M=45/16 cut=14639/7200",
                 "2aae2c1335aa22c237b112f226b53626474cb6941c7925c115b5cf7f0f2acbd1",
@@ -155,15 +178,38 @@ class TestGoldenOutput:
             (
                 # Correctly rounded weights; the total is their left-to-right
                 # float sum.
-                ("--gen", "complete-minus-hamilton", "--n", "13", "--mode", "float"),
+                ("decompose", "--gen", "complete-minus-hamilton", "--n", "13", "--mode", "float"),
                 0,
                 "# triangles=156 total=21.6666666666667",
                 "27c11f9e6b0970f08e31f166573c9be12edbae15a190db500c2941c39f64f9d5",
             ),
+            (
+                ("oracle", "--gen", "random-min-degree", "--n", "14", "--fraction", "4/5", "--seed", "0"),
+                0,
+                "# triangles=280 total=28",
+                "f9c85dbfbe5abd1421718049fd1f638906670b75e4b2d73e983279cc6678cfeb",
+            ),
+            (
+                ("oracle", "--gen", "random-min-degree", "--n", "14", "--fraction", "7/10", "--seed", "0"),
+                0,
+                "# triangles=160 total=71/3",
+                "504f987135ae6a46fec181875ac1df804de71a479bd72279cec230d05a469a61",
+            ),
+            (
+                # The flow returns a cut here, so the fallback prints the
+                # oracle's witness.
+                (
+                    "decompose", "--gen", "random-min-degree", "--n", "14", "--fraction", "7/10",
+                    "--seed", "0", "--fallback-lp",
+                ),
+                0,
+                "# triangles=160 total=71/3",
+                "504f987135ae6a46fec181875ac1df804de71a479bd72279cec230d05a469a61",
+            ),
         ],
     )
     def test_stdout_digest(self, capsys, argv, code, first_line, digest):
-        got, out, _ = run(capsys, "decompose", *argv)
+        got, out, _ = run(capsys, *argv)
         assert got == code
         assert out.splitlines()[0] == first_line
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -246,6 +292,17 @@ class TestVerifyCommand:
         assert code == 1
         assert out == "FAIL: worst edge deviation 1/5000000000, 0 negative weights, 0 invalid triangles\n"
 
+    @pytest.mark.parametrize("binary", ["graph", "decomposition"])
+    def test_non_utf8_file_exit_3(self, capsys, tmp_path, binary):
+        paths = {"graph": tmp_path / "g.el", "decomposition": tmp_path / "d.txt"}
+        paths["graph"].write_text(write_edge_list(complete_graph(4)))
+        paths["decomposition"].write_text(K4_HALVES)
+        paths[binary].write_bytes(NOT_UTF8)
+        code, out, err = run(capsys, "verify", str(paths["graph"]), str(paths["decomposition"]))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"input error: cannot read {paths[binary]}:")
+
     def test_malformed_decomposition(self, capsys, tmp_path):
         graph_path = tmp_path / "g.el"
         decomp_path = tmp_path / "d.txt"
@@ -273,6 +330,30 @@ class TestOracle:
             capsys, "oracle", "--gen", "complete", "--n", "8", "--max-lp-triangles", "5"
         )
         assert code == 4
+
+    def test_zero_cap_is_a_guardrail(self, capsys):
+        code, _, err = run(
+            capsys, "oracle", "--gen", "complete", "--n", "4", "--max-lp-triangles", "0"
+        )
+        assert code == 4
+        assert err == "guardrail: LP has 4 triangle variables, above the cap of 0\n"
+
+    def test_negative_cap_exit_3(self, capsys, tmp_path):
+        graph_path = tmp_path / "k4.el"
+        graph_path.write_text(write_edge_list(complete_graph(4)))
+        code, out, err = run(
+            capsys, "oracle", "--input", str(graph_path), "--max-lp-triangles", "-1"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "input error: --max-lp-triangles must be at least 0, got -1\n"
+
+    def test_non_utf8_input_exit_3(self, capsys, tmp_path):
+        graph_path = tmp_path / "g.el"
+        graph_path.write_bytes(NOT_UTF8)
+        code, _, err = run(capsys, "oracle", "--input", str(graph_path))
+        assert code == 3
+        assert err.startswith(f"input error: cannot read {graph_path}:")
 
 
 class TestGen:
@@ -361,6 +442,8 @@ class TestScan:
             ("--n", "12", "--fractions", "2"),
             ("--n", "12", "--fractions", "9/10", "--samples", "-1"),
             ("--n", "12", "--fractions", "9/10", "--samples", "0"),
+            ("--n", "12", "--fractions", "9/10", "--max-links", "-1"),
+            ("--n", "12", "--fractions", "9/10", "--max-lp-triangles", "-1"),
         ],
     )
     def test_bad_input_exit_3(self, capsys, argv):

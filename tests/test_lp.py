@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -94,18 +95,57 @@ class TestWitnessQuality:
         assert first.decomposition.entries == second.decomposition.entries
 
 
+def _spy_pivots(monkeypatch):
+    """Record the dtype of the tableau at every call of `lp._pivot`."""
+    dtypes = []
+    pivot = lp._pivot
+
+    def spy(nums, dens, r, c):
+        dtypes.append(nums.dtype)
+        pivot(nums, dens, r, c)
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    return dtypes
+
+
 class TestTableauPaths:
     def test_python_tableau_matches_numpy(self, monkeypatch, k5_minus_edge):
         baseline = lp_feasible(k5_minus_edge)
-        # Force the big-int path by making the overflow guard trip instantly.
+        # Promote to Python ints before the first pivot.
         monkeypatch.setattr(lp, "_NUMPY_GUARD", 1)
+        dtypes = _spy_pivots(monkeypatch)
         forced = lp_feasible(k5_minus_edge)
+        assert dtypes and set(dtypes) == {np.dtype(object)}
         assert forced.feasible == baseline.feasible
         assert forced.decomposition.entries == baseline.decomposition.entries
 
     def test_python_tableau_infeasible_case(self, monkeypatch):
         monkeypatch.setattr(lp, "_NUMPY_GUARD", 1)
         assert not lp_feasible(complete_minus_edge(4, (2, 3))).feasible
+
+    def test_promotion_mid_run(self, monkeypatch):
+        g = complete_minus_hamilton(10)
+        baseline = lp_feasible(g)
+        # Low enough that the guard trips after some int64 pivots.
+        monkeypatch.setattr(lp, "_NUMPY_GUARD", 1 << 6)
+        dtypes = _spy_pivots(monkeypatch)
+        promoted = lp_feasible(g)
+        assert dtypes[0] == np.int64 and dtypes[-1] == object
+        first_object = dtypes.index(object)
+        assert all(d == np.int64 for d in dtypes[:first_object])
+        assert all(d == object for d in dtypes[first_object:])
+        assert promoted.decomposition.entries == baseline.decomposition.entries
+
+    @settings(max_examples=25, deadline=None)
+    @given(graphs_strategy(max_n=6))
+    def test_object_tableau_agrees_with_int64(self, g):
+        baseline = lp_feasible(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "_NUMPY_GUARD", 1)
+            forced = lp_feasible(g)
+        assert forced.feasible == baseline.feasible
+        if baseline.feasible:
+            assert forced.decomposition.entries == baseline.decomposition.entries
 
 
 def _verdict_under_stall_limit(g, limit):
@@ -144,19 +184,11 @@ class TestPivotRules:
     def test_pivot_count_regression(self, monkeypatch):
         # Bland's rule alone takes 2.5k-4.1k pivots on instances of this size.
         g = generate(GenSpec("random-min-degree", n=14, fraction=Fraction(4, 5), seed=0))
-        pivots = 0
-        pivot = lp._NumpyTableau.pivot
-
-        def counting_pivot(self, r, c):
-            nonlocal pivots
-            pivots += 1
-            pivot(self, r, c)
-
-        monkeypatch.setattr(lp._NumpyTableau, "pivot", counting_pivot)
+        pivots = _spy_pivots(monkeypatch)
         verdict = lp_feasible(g)
         assert verdict.feasible
         assert verify(g, verdict.decomposition).ok
-        assert pivots < 600
+        assert len(pivots) < 600
 
 
 class TestAgreementWithFlow:
