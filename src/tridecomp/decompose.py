@@ -46,6 +46,7 @@ from .graph import (
     enumerate_triangles,
     triangles_per_edge,
 )
+from .kernels import pair_keys, split_keys
 from .maxflow import ArcNetwork, max_flow
 from .peeling import peel_heavy_triangles
 
@@ -199,32 +200,40 @@ class FlowNetwork:
         return self.residual.m + 1
 
     def to_arc_network(self):
-        """Solver form plus the id of the first link arc.
+        """Solver form in CSR order, and the bool mask of its link slots.
 
-        Arcs: supersource -> e for each source edge, then e -> supersink for
-        each sink edge (both by edge id), then e1 -> e2 and e2 -> e1 per link.
-        Every arc before the first link arc is a terminal arc.
+        Slots: e1 -> e2 and e2 -> e1 for each link, at the link capacity;
+        supersource -> e for each source edge and e -> supersink for each
+        sink edge, with their zero-capacity reverses. The link slots are the
+        slots (e1, e2) with e1 < e2 < m; CSR order lists them in the
+        canonical link order.
         """
+        m = self.residual.m
+        nodes = m + 2
         terminals = self.terminals
         sources = np.flatnonzero(terminals > 0)
         sinks = np.flatnonzero(terminals < 0)
-        base = sources.size + sinks.size
-        # Node ids stay below m + 2, which the dense-size guardrail keeps far
-        # below 2**31.
-        tails = np.empty(base + 2 * len(self.links), np.int32)
-        heads = np.empty_like(tails)
-        tails[: sources.size] = self.supersource
-        heads[: sources.size] = sources
-        tails[sources.size : base] = sinks
-        heads[sources.size : base] = self.supersink
-        tails[base::2] = heads[base + 1 :: 2] = self.links.e1
-        heads[base::2] = tails[base + 1 :: 2] = self.links.e2
-        caps = np.empty(tails.size, terminals.dtype)
-        caps[: sources.size] = terminals[sources]
-        caps[sources.size : base] = -terminals[sinks]
-        caps[base:] = self.link_capacity
+        e1, e2 = self.links.e1, self.links.e2
+        source = np.full(sources.size, self.supersource)
+        sink = np.full(sinks.size, self.supersink)
+        # One key per slot; sorted, they are CSR order. Node ids stay below
+        # m + 2, which the dense-size guardrail keeps far below 2**31.
+        keys = np.concatenate(
+            [
+                pair_keys(e1, e2, nodes),
+                pair_keys(e2, e1, nodes),
+                pair_keys(source, sources, nodes),
+                pair_keys(sources, source, nodes),
+                pair_keys(sinks, sink, nodes),
+                pair_keys(sink, sinks, nodes),
+            ]
+        )
+        keys.sort()
+        tails, heads = split_keys(keys, nodes)
+        del keys
+        caps = np.full(tails.size, self.link_capacity, terminals.dtype)
         net = ArcNetwork(
-            self.residual.m + 2,
+            nodes,
             tails,
             heads,
             caps,
@@ -232,7 +241,16 @@ class FlowNetwork:
             self.supersink,
             self.denominator,
         )
-        return net, base
+        # Row e ends with its terminal slot, if any: e -> supersource (the
+        # zero reverse of a source arc) or e -> supersink. The supersource
+        # row holds the source arcs, the supersink row the zero reverses of
+        # the sink arcs.
+        indptr = net.indptr
+        caps[indptr[sources + 1] - 1] = 0
+        caps[indptr[sinks + 1] - 1] = -terminals[sinks]
+        caps[indptr[m] : indptr[m + 1]] = terminals[sources]
+        caps[indptr[m + 1] :] = 0
+        return net, (tails < heads) & (heads < m)
 
 
 def build_network(residual, uniform_weight, deficiency, max_links=DEFAULT_MAX_LINKS,
@@ -253,6 +271,8 @@ def build_network(residual, uniform_weight, deficiency, max_links=DEFAULT_MAX_LI
     denominator = math.lcm(uniform_weight.denominator, capacity.denominator)
     weight = uniform_weight.numerator * (denominator // uniform_weight.denominator)
     link_capacity = capacity.numerator * (denominator // capacity.denominator)
+    if triangles is None:
+        triangles = enumerate_triangles(residual)
     counts = triangles_per_edge(residual, triangles)
     # The loads T_e*w sum to m, so |T_e*w - 1| <= m, and the surpluses (and
     # the shortfalls) sum to at most m.
@@ -261,7 +281,7 @@ def build_network(residual, uniform_weight, deficiency, max_links=DEFAULT_MAX_LI
     if terminals.sum() != 0:
         raise AssertionError("source/sink imbalance; the uniform weight is not m/(3t)")
     required = int(terminals[terminals > 0].sum())
-    links = enumerate_rooted_k4_links(residual, max_links)
+    links = enumerate_rooted_k4_links(residual, max_links, triangles)
     return FlowNetwork(
         residual=residual,
         uniform_weight=uniform_weight,
@@ -300,7 +320,7 @@ def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS):
     network = build_network(
         residual, uniform, deficiency, max_links=max_links, triangles=triangles
     )
-    arcnet, link_base = network.to_arc_network()
+    arcnet, link_slots = network.to_arc_network()
     result = max_flow(arcnet)
     if result.value > network.required_flow:
         raise AssertionError("flow value exceeds the supersource cut capacity")
@@ -310,9 +330,23 @@ def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS):
             cut_capacity=result.value,
             required_flow=network.required_flow,
         )
+    # The supersource row holds the source arcs, the supersink row the
+    # reverses of the sink arcs, whose net flow is minus the sink arc's.
     flows = result.flows
-    if (flows[:link_base] != arcnet.capacities[:link_base]).any():
+    m = residual.m
+    indptr = arcnet.indptr
+    source_row = slice(indptr[m], indptr[m + 1])
+    sink_row = slice(indptr[m + 1], indptr[m + 2])
+    if (flows[source_row] != arcnet.capacities[source_row]).any() or (
+        flows[sink_row] != network.terminals[arcnet.heads[sink_row]]
+    ).any():
         raise AssertionError("a terminal arc is unsaturated at the required flow")
+    links = network.links
+    if not (
+        np.array_equal(arcnet.tails[link_slots], links.e1)
+        and np.array_equal(arcnet.heads[link_slots], links.e2)
+    ):
+        raise AssertionError("the link slots are not in canonical link order")
 
     # Weights are numerators over 2D, so a flow f/D moves f on each of the
     # four triangles of its link. A triangle lies in at most n - 3 K4s and
@@ -325,7 +359,7 @@ def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS):
     assignment = Decomposition(
         residual, triangles, numerators, denominator, mode, network.required_flow
     )
-    apply_transfer(assignment, network.links, flows[link_base::2] - flows[link_base + 1 :: 2])
+    apply_transfer(assignment, links, flows[link_slots])
     if 3 * sum(numerators.tolist()) != residual.m * denominator:
         raise AssertionError("total triangle weight drifted from m/3")
     return assignment

@@ -17,11 +17,11 @@ import numpy as np
 from . import kernels
 from .errors import GraphConstructionError, GraphSizeError, LinkLimitError
 
-# On the scipy flow path a decompose run peaks at about 115 bytes per link
-# above the 63 MB of a small run (K70 minus a Hamilton cycle: 318 MB at 2.29M
-# links; K100 minus one: 1.27 GB at 10.4M links), so a run at this cap stays
-# near 3.5 GB, under 4 GiB. The Python-int fallback needs about 480 bytes a
-# link (K70: 1.17 GB).
+# On the scipy flow path a one-shot CLI decompose peaks at about 110 bytes
+# per link above the 63 MB of a small run (K70 minus a Hamilton cycle: 314 MB
+# at 2.29M links; K100 minus one: 1.13 GB at 10.4M links), so a run at this
+# cap stays near 3.4 GB, under 4 GiB. The Python-int fallback needs about
+# 230 bytes a link (K70: 590 MB).
 DEFAULT_MAX_LINKS = 30_000_000
 
 # A Graph holds n x n bool and int32 matrices, 5 bytes per cell. 14 bytes per
@@ -137,13 +137,16 @@ class LinkSet:
         return int(self.e1.shape[0])
 
 
-def enumerate_rooted_k4_links(g, max_links=DEFAULT_MAX_LINKS):
+def enumerate_rooted_k4_links(g, max_links=DEFAULT_MAX_LINKS, triangles=None):
     """One link per (K4, opposite-edge-pair); each K4 contributes exactly 3.
 
     Aborts with LinkLimitError instead of exhausting memory when the count
     would exceed `max_links` (link counts grow like n**4 on dense graphs).
+    `triangles`, when given, is `enumerate_triangles(g)`.
     """
-    result = kernels.enumerate_link_arrays(g.adj, g.eid, g.edge_u, g.edge_v, max_links)
+    if triangles is None:
+        triangles = enumerate_triangles(g)
+    result = kernels.enumerate_link_arrays(g.adj, g.eid, g.m, triangles, max_links)
     if result is None:
         raise LinkLimitError(max_links)
     e1, e2 = result

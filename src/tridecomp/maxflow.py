@@ -4,18 +4,27 @@ A network carries integer capacities over one shared `denominator`: the
 auxiliary network of `decompose` is built that way, and `from_triples`
 scales rational capacities once by the lcm of their denominators.
 
-Two exact paths compute the flow. The fast path runs scipy's compiled Dinic
-(`scipy.sparse.csgraph.maximum_flow`) on the capacity matrix, with parallel
-arcs summed, and holds every capacity, flow and residual in int32. It runs
-only when the network's values prove that none of them can overflow (see
-`_int32_matrix`); every other network goes to `kernels.max_flow_int`, a Dinic
-over Python integers. Both are Dinic, whose phase count is bounded by the
-node count, so termination does not depend on capacity values. Either way
-the minimum cut is the set of nodes reachable from the source in the
-residual network, which is the same for every maximum flow, and
-max-flow/min-cut duality is asserted before the result is returned. scipy
-is imported on the first call of `max_flow`, so importing the package does
-not load it.
+Every network has one form, CSR order: its arcs ("slots") are sorted by
+(tail, head) with parallel arcs merged, no self-loops, and a reverse slot
+for every slot (capacity 0 where the input had no reverse arc). So row v of
+the capacity matrix is one contiguous run of slots, and a flow is one
+integer per slot: the signed net flow from tail to head, which is
+skew-symmetric (a slot and its reverse carry opposite values).
+
+Two exact paths compute the flow on the same slots. The fast path passes
+the slots as an int32 CSR matrix to scipy's compiled Dinic
+(`scipy.sparse.csgraph.maximum_flow`), which returns its flow matrix on
+exactly these slots, so the flows are its data array; it runs only when
+the network's values prove that no capacity, flow or residual can overflow
+int32 (see `_int32_matrix`). Every other network goes to
+`kernels.max_flow_int`, a Dinic over Python integers that walks the same
+slots through a reverse-slot index and returns capacity minus residual.
+Both are Dinic, whose phase count is bounded by the node count, so
+termination does not depend on capacity values. Either way the minimum cut
+is the set of nodes reachable from the source in the residual network,
+which is the same for every maximum flow, and max-flow/min-cut duality is
+asserted before the result is returned. scipy is imported on the first call
+of `max_flow`, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -32,12 +41,26 @@ from . import kernels
 _INT32_LIMIT = 1 << 31
 
 
+def _check_arcs(num_nodes, tails, heads, caps):
+    if tails.shape != heads.shape or tails.shape != caps.shape:
+        raise ValueError("tails, heads and capacities differ in length")
+    if tails.size and not (
+        0 <= min(tails.min(), heads.min()) and max(tails.max(), heads.max()) < num_nodes
+    ):
+        raise ValueError("arc endpoint out of range")
+    if (caps < 0).any():
+        raise ValueError("negative capacity")
+
+
 @dataclass(frozen=True)
 class ArcNetwork:
-    """Directed arcs with integer capacities over `denominator`, and terminals.
+    """Slots in CSR order with integer capacities over `denominator`, and
+    terminals.
 
-    `tails` and `heads` are integer arrays; `capacities` is an int64 array, or
-    an object array of Python ints when the values may not fit.
+    `tails` and `heads` are integer arrays, sorted by (tail, head) without
+    repeats or self-loops, and every (tail, head) has its (head, tail);
+    `capacities` is an int64 array, or an object array of Python ints when
+    the values may not fit. `from_arcs` brings any arc list into this form.
     """
 
     num_nodes: int
@@ -49,14 +72,40 @@ class ArcNetwork:
     denominator: int
 
     @classmethod
+    def from_arcs(cls, num_nodes, tails, heads, capacities, source, sink, denominator=1):
+        """Network from arbitrary integer arcs: parallel arcs summed,
+        self-loops dropped, a zero-capacity reverse added where missing."""
+        tails = np.asarray(tails, np.int64).ravel()
+        heads = np.asarray(heads, np.int64).ravel()
+        caps = np.asarray(capacities)
+        if caps.dtype != object:
+            caps = caps.astype(np.int64)
+        _check_arcs(num_nodes, tails, heads, caps)
+        loop = tails == heads
+        tails, heads, caps = tails[~loop], heads[~loop], caps[~loop]
+        keys = np.concatenate([tails * num_nodes + heads, heads * num_nodes + tails])
+        keys, slot = np.unique(keys, return_inverse=True)
+        merged = np.zeros(keys.size, caps.dtype)
+        np.add.at(merged, slot[: caps.size], caps)
+        return cls(
+            num_nodes,
+            keys // num_nodes,
+            keys % num_nodes,
+            merged,
+            source,
+            sink,
+            denominator,
+        )
+
+    @classmethod
     def from_triples(cls, num_nodes, triples, source, sink):
         """Network from (tail, head, rational capacity) triples."""
         caps = [Fraction(c) for _, _, c in triples]
         denominator = math.lcm(*(c.denominator for c in caps))
-        return cls(
+        return cls.from_arcs(
             num_nodes,
-            np.array([t for t, _, _ in triples], np.int64),
-            np.array([h for _, h, _ in triples], np.int64),
+            [t for t, _, _ in triples],
+            [h for _, h, _ in triples],
             np.array(
                 [c.numerator * (denominator // c.denominator) for c in caps], dtype=object
             ),
@@ -65,30 +114,54 @@ class ArcNetwork:
             denominator,
         )
 
+    @property
+    def indptr(self):
+        """Row v's slots are indptr[v]..indptr[v+1]-1 (int64, num_nodes + 1)."""
+        return np.searchsorted(self.tails, np.arange(self.num_nodes + 1, dtype=self.tails.dtype))
+
+    def reverse_slots(self):
+        """reverse[p] is the slot of (heads[p], tails[p]); ValueError when a
+        slot has no reverse."""
+        n = self.num_nodes
+        # The sentinel n**2 exceeds every key, so a missing reverse never
+        # indexes past the end.
+        keys = np.append(self.tails.astype(np.int64) * n + self.heads, n * n)
+        wanted = self.heads.astype(np.int64) * n + self.tails
+        reverse = np.searchsorted(keys, wanted)
+        missing = np.flatnonzero(keys[reverse] != wanted)
+        if missing.size:
+            p = int(missing[0])
+            raise ValueError(f"arc {self.tails[p]} -> {self.heads[p]} has no reverse slot")
+        return reverse
+
     def validate(self):
+        """Terminals, endpoints and capacities in range, slots in CSR order
+        without self-loops; the reverse slots are checked by each flow path."""
         if not 0 <= self.source < self.num_nodes:
             raise ValueError("source out of range")
         if not 0 <= self.sink < self.num_nodes:
             raise ValueError("sink out of range")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
-        if self.tails.size and not (
-            0 <= min(self.tails.min(), self.heads.min())
-            and max(self.tails.max(), self.heads.max()) < self.num_nodes
-        ):
-            raise ValueError("arc endpoint out of range")
-        if (self.capacities < 0).any():
-            raise ValueError("negative capacity")
+        tails, heads = self.tails, self.heads
+        _check_arcs(self.num_nodes, tails, heads, self.capacities)
+        if (tails == heads).any():
+            raise ValueError("self-loop slot")
+        same_row = tails[1:] == tails[:-1]
+        if (tails[1:] < tails[:-1]).any() or (same_row & (heads[1:] <= heads[:-1])).any():
+            raise ValueError("slots not in CSR order: (tail, head) must strictly increase")
 
 
 @dataclass(frozen=True)
 class FlowResult:
     """A maximum flow with its matching minimum cut.
 
-    `flows[i]` is the flow on arc i as an integer over the shared
-    `denominator` (an int64 array, or an object array of Python ints on
-    networks whose capacities are); `flow(i)` gives it as an exact rational.
-    `source_side` is the bool mask of the nodes on the source side of the cut.
+    `flows[p]` is the net flow on slot p of the network, from its tail to its
+    head, as an integer over the shared `denominator` (an int64 array, or an
+    object array of Python ints on networks whose capacities are); a slot and
+    its reverse carry opposite values. `flow(p)` gives it as an exact
+    rational. `source_side` is the bool mask of the nodes on the source side
+    of the cut.
     """
 
     value: Fraction
@@ -96,76 +169,77 @@ class FlowResult:
     denominator: int
     source_side: np.ndarray
 
-    def flow(self, i):
-        return Fraction(int(self.flows[i]), self.denominator)
+    def flow(self, p):
+        return Fraction(int(self.flows[p]), self.denominator)
 
 
 def _int32_matrix(net):
-    """The capacity matrix (parallel arcs summed) as int32 CSR, or None.
+    """The capacity matrix on the network's slots as int32 CSR, or None.
 
     Every augmenting path adds its bottleneck to the flow value and at most
-    that much to any arc, so no arc ever carries more than the value, which
+    that much to any slot, so no slot ever carries more than the value, which
     is at most S, the total capacity out of the source. The residual of a
-    matrix entry (i, j) is C[i, j] + F[j, i] <= max C + S. So when
-    max C + S < 2**31 (and the node and entry counts fit int32 indices), every
-    capacity, flow, residual and the value fit in int32. A network without
-    arcs takes the Python path, which returns at once.
+    slot (i, j) is C[i, j] + F[j, i] <= max C + S. So when max C + S < 2**31
+    (and the node and slot counts fit int32 indices), every capacity, flow,
+    residual and the value fit in int32. A network without slots takes the
+    Python path, which returns at once.
     """
     caps = net.capacities
     if (
         caps.size == 0
-        or max(2 * caps.size, net.num_nodes) >= _INT32_LIMIT
+        or max(caps.size, net.num_nodes) >= _INT32_LIMIT
         or caps.max() >= _INT32_LIMIT
     ):
         return None
+    indptr = net.indptr
+    supply = int(caps[indptr[net.source] : indptr[net.source + 1]].sum())
+    if int(caps.max()) + supply >= _INT32_LIMIT:
+        return None
     from scipy.sparse import csr_array
 
-    caps = np.asarray(caps, dtype=np.int64)
-    tails = net.tails.astype(np.int32, copy=False)
-    heads = net.heads.astype(np.int32, copy=False)
-    matrix = csr_array((caps, (tails, heads)), shape=(net.num_nodes, net.num_nodes))
-    supply = int(caps[net.tails == net.source].sum())
-    if int(matrix.data.max()) + supply >= _INT32_LIMIT:
-        return None
-    matrix.data = matrix.data.astype(np.int32)
-    return matrix
+    return csr_array(
+        (
+            caps.astype(np.int32),
+            net.heads.astype(np.int32, copy=False),
+            indptr.astype(np.int32),
+        ),
+        shape=(net.num_nodes, net.num_nodes),
+    )
 
 
 def _scipy_max_flow(net, matrix):
-    """(value, per-arc int64 flows, source-side mask) from scipy's Dinic.
+    """(value, per-slot int64 net flows, source-side mask) from scipy's Dinic.
 
-    scipy returns one skew-symmetric net flow F per node pair. The arcs from
-    i to j share max(F[i, j], 0) in arc order, each up to its capacity, so
-    antiparallel arcs split F by sign and parallel arcs fill in turn.
+    scipy adds a zero-capacity reverse for every entry that lacks one and
+    returns its flow matrix on the resulting slots. A network in CSR form has
+    every reverse already, so the flow comes back on exactly its slots, and
+    one comparison of the index arrays confirms that before the data is read.
     """
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
     result = maximum_flow(matrix, net.source, net.sink, method="dinic")
     flow = result.flow
-    # C - F keeps only the positive residuals (a sparse difference drops
-    # zeros): unused capacity forward, and flow that can be pushed back.
-    residual = matrix - flow
+    if not (
+        np.array_equal(flow.indptr, matrix.indptr)
+        and np.array_equal(flow.indices, matrix.indices)
+    ):
+        net.reverse_slots()  # names a missing reverse slot, if there is one
+        raise AssertionError("scipy returned its flow on other slots than the network's")
+    # Capacity minus net flow is each slot's residual; the zeros are dropped
+    # so that only positive residuals are edges of the search. The index
+    # arrays are copied because dropping works in place and `matrix` shares
+    # the network's heads.
+    residual = csr_array(
+        (matrix.data - flow.data, matrix.indices, matrix.indptr), matrix.shape, copy=True
+    )
+    residual.eliminate_zeros()
     reached = breadth_first_order(
         residual, net.source, directed=True, return_predecessors=False
     )
     side = np.zeros(net.num_nodes, np.bool_)
     side[reached] = True
-
-    caps = np.asarray(net.capacities, dtype=np.int64)
-    forward = np.empty_like(caps)
-    np.maximum(flow[net.tails, net.heads], 0, out=forward)
-    if matrix.nnz == caps.size:
-        return int(result.flow_value), forward, side
-    key = net.tails.astype(np.int64) * net.num_nodes + net.heads
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    cap = caps[order]
-    before = np.cumsum(cap) - cap
-    first = np.concatenate([[True], key[1:] != key[:-1]])
-    before -= before[first][np.cumsum(first) - 1]
-    flows = np.empty_like(caps)
-    flows[order] = np.clip(forward[order] - before, 0, cap)
-    return int(result.flow_value), flows, side
+    return int(result.flow_value), flow.data.astype(np.int64), side
 
 
 def max_flow(net):
@@ -174,7 +248,13 @@ def max_flow(net):
     matrix = _int32_matrix(net)
     if matrix is None:
         value, flows, reach = kernels.max_flow_int(
-            net.num_nodes, net.source, net.sink, net.tails, net.heads, net.capacities.tolist()
+            net.num_nodes,
+            net.source,
+            net.sink,
+            net.indptr.tolist(),
+            net.heads.tolist(),
+            net.reverse_slots().tolist(),
+            net.capacities.tolist(),
         )
         flows = np.array(flows, dtype=net.capacities.dtype)
         side = np.array(reach, dtype=np.bool_)
@@ -196,37 +276,43 @@ def max_flow(net):
 def flow_violation(net, res):
     """First violated flow constraint as a message, or None when valid/maximum.
 
-    Re-derives everything (arc bounds, conservation, value, cut capacity)
-    from the network's integer capacities; nothing is trusted from the
-    solver. Sums run in int64 when the capacities bound them below 2**63,
-    else over Python ints.
+    Re-derives everything (CSR form, skew symmetry, slot bounds,
+    conservation, value, cut capacity) from the network's integer
+    capacities; nothing is trusted from the solver. Sums run in int64 when
+    the capacities bound them below 2**63, else over Python ints.
     """
     if net.denominator != res.denominator:
         return f"denominator mismatch: {res.denominator} vs {net.denominator}"
+    try:
+        net.validate()
+        reverse = net.reverse_slots()
+    except ValueError as exc:
+        return f"network is not in canonical CSR form: {exc}"
     caps = net.capacities
     flows = np.asarray(res.flows)
     if flows.shape != caps.shape:
-        return "flow vector length does not match arc count"
-    bad = np.flatnonzero((flows < 0) | (flows > caps))
+        return "flow vector length does not match slot count"
+    bad = np.flatnonzero(flows[reverse] != -flows)
     if bad.size:
-        i = int(bad[0])
-        if flows[i] < 0:
-            return f"arc {i} carries negative flow"
-        return f"arc {i} exceeds its capacity"
-    # Every flow now lies in [0, capacity], so each balance and the cut sum
-    # are bounded by the arc count times the largest capacity.
+        return f"slot {int(bad[0])} is not skew-symmetric to its reverse"
+    # A slot's flow is at most its capacity and, by skew symmetry, at least
+    # minus its reverse's capacity.
+    bad = np.flatnonzero(flows > caps)
+    if bad.size:
+        return f"slot {int(bad[0])} exceeds its capacity"
+    # So each net outflow and the cut sum are bounded by the slot count
+    # times the largest capacity.
     fits = caps.size == 0 or int(caps.max()) * caps.size < 1 << 63
     dtype = np.int64 if fits else object
     flows = flows.astype(dtype)
-    balance = np.zeros(net.num_nodes, dtype)
-    np.add.at(balance, net.heads, flows)
-    np.add.at(balance, net.tails, -flows)
+    outflow = np.zeros(net.num_nodes, dtype)
+    np.add.at(outflow, net.tails, flows)
     inner = np.ones(net.num_nodes, np.bool_)
     inner[[net.source, net.sink]] = False
-    unbalanced = np.flatnonzero((balance != 0) & inner)
+    unbalanced = np.flatnonzero((outflow != 0) & inner)
     if unbalanced.size:
         return f"conservation violated at node {unbalanced[0]}"
-    if Fraction(-int(balance[net.source]), net.denominator) != res.value:
+    if Fraction(int(outflow[net.source]), net.denominator) != res.value:
         return "value does not equal the net outflow of the source"
     side = np.asarray(res.source_side, dtype=np.bool_)
     if side.shape != (net.num_nodes,):

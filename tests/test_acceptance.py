@@ -103,8 +103,9 @@ def test_c1_complete_graph_exactness():
         network = build_network(g, initial_weight(g), stats.deficiency)
         assert network.required_flow == 0
         assert not network.terminals.any()
-        arcnet, link_base = network.to_arc_network()
-        assert link_base == 0
+        arcnet, link_slots = network.to_arc_network()
+        # No terminal slots: every slot is a link slot or its reverse.
+        assert arcnet.tails.size == 2 * int(link_slots.sum()) == 2 * len(network.links)
         flow = max_flow(arcnet)
         assert flow.value == 0
         assert not flow.flows.any()

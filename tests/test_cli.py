@@ -13,7 +13,9 @@ import tridecomp
 from tridecomp import cli
 from tridecomp.cli import main
 from tridecomp.errors import EdgeInNoTriangleError, EmptyGraphError, UnknownTriangleError
-from tridecomp.instances import write_edge_list
+from tridecomp.graph import enumerate_rooted_k4_links
+from tridecomp.instances import GenSpec, generate, write_edge_list
+from tridecomp.peeling import peel_heavy_triangles
 
 from conftest import complete_minus_edge, complete_graph
 
@@ -116,6 +118,19 @@ class TestDecompose:
         )
         assert code == 4
         assert "guardrail" in err
+
+    def test_link_cap_below_count_exit_4(self, capsys):
+        # The residual of K13 minus a Hamilton cycle (nothing is peeled) has
+        # 546 links.
+        g = generate(GenSpec("complete-minus-hamilton", 13))
+        assert peel_heavy_triangles(g).removed == []
+        assert len(enumerate_rooted_k4_links(g)) == 546
+        argv = ("decompose", "--gen", "complete-minus-hamilton", "--n", "13", "--max-links")
+        code, out, err = run(capsys, *argv, "545")
+        assert (code, out) == (4, "")
+        assert err == "guardrail: rooted-K4 link count exceeds the cap of 545\n"
+        code, out, _ = run(capsys, *argv, "546")
+        assert code == 0 and out.startswith("# triangles=156")
 
     def test_huge_vertex_count_exit_4(self, capsys, tmp_path):
         # A header alone: the size guardrail must fire before any n x n array.

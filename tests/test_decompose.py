@@ -316,13 +316,11 @@ def reference_solve(g, deficiency):
     """solve's weights by the per-link Fraction transfer, or None on a cut."""
     w = initial_weight(g)
     net = build_network(g, w, deficiency)
-    arcnet, link_base = net.to_arc_network()
+    arcnet, link_slots = net.to_arc_network()
     flow = max_flow(arcnet)
     if flow.value < net.required_flow:
         return None
-    forward = flow.flows[link_base::2].tolist()
-    backward = flow.flows[link_base + 1 :: 2].tolist()
-    net_flows = [Fraction(f - b, flow.denominator) for f, b in zip(forward, backward)]
+    net_flows = [Fraction(f, flow.denominator) for f in flow.flows[link_slots].tolist()]
     return reference_transfer(g, enumerate_triangles(g).tolist(), w, net.links, net_flows)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tridecomp import kernels
 from tridecomp.errors import GraphConstructionError, GraphSizeError, LinkLimitError
 from tridecomp.graph import (
     DENSE_BYTES_PER_CELL,
@@ -233,6 +234,52 @@ class TestLinks:
     def test_matches_brute_force(self, g):
         links = enumerate_rooted_k4_links(g)
         assert list(zip(links.e1.tolist(), links.e2.tolist())) == brute_links(g)
+
+
+def enumerations(g, rows=None, max_links=None):
+    """Triangles and links of g as tuple lists, computed in blocks of `rows`
+    rows (the module's block size when None)."""
+    kwargs = {} if max_links is None else {"max_links": max_links}
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            # A block has _BLOCK_CELLS // n rows.
+            mp.setattr(kernels, "_BLOCK_CELLS", rows * g.n)
+        triangles = enumerate_triangles(g)
+        # Links from the triangle array and from the graph alone.
+        from_triangles = enumerate_rooted_k4_links(g, triangles=triangles, **kwargs)
+        alone = enumerate_rooted_k4_links(g, **kwargs)
+    links = list(zip(from_triangles.e1.tolist(), from_triangles.e2.tolist()))
+    assert links == list(zip(alone.e1.tolist(), alone.e2.tolist()))
+    assert triangles.dtype == from_triangles.e1.dtype == from_triangles.e2.dtype == np.int32
+    return [tuple(r) for r in triangles.tolist()], links
+
+
+BLOCK_ROWS = [None, 1, 7]
+
+
+class TestBlockedEnumeration:
+    """Blocked numpy enumeration against the itertools references, in values
+    and order, with block boundaries crossed."""
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    @settings(max_examples=40, deadline=None)
+    @given(g=graphs_strategy(max_n=10))
+    def test_matches_brute_force(self, rows, g):
+        assert enumerations(g, rows) == (brute_triangles(g), brute_links(g))
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    @pytest.mark.parametrize("n", [13, 20])
+    def test_hamilton_complements(self, rows, n):
+        g = complete_minus_hamilton(n)
+        assert enumerations(g, rows) == (brute_triangles(g), brute_links(g))
+
+    @pytest.mark.parametrize("rows", BLOCK_ROWS)
+    def test_cap_boundary(self, rows):
+        g = complete_minus_hamilton(13)
+        count = len(brute_links(g))
+        assert len(enumerations(g, rows, max_links=count)[1]) == count
+        with pytest.raises(LinkLimitError):
+            enumerations(g, rows, max_links=count - 1)
 
 
 class TestCountingBounds:

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,23 +69,42 @@ class TestBasics:
         with pytest.raises(ValueError):
             max_flow(net(2, [(0, 1, Fraction(-1))]))
 
+    def test_bad_arcs_rejected_before_merging(self):
+        # A negative arc parallel to a larger one must not merge into a
+        # valid slot, and an endpoint out of range must not wrap into one.
+        with pytest.raises(ValueError, match="negative"):
+            ArcNetwork.from_arcs(2, [0, 0], [1, 1], [-1, 2], 0, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            ArcNetwork.from_arcs(2, [0, 0], [1, 2], [1, 1], 0, 1)
+
     def test_rational_capacities(self):
         n = net(3, [(0, 1, Fraction(1, 3)), (1, 2, Fraction(1, 2))])
-        # Scaled once by the lcm 6 of the denominators.
+        # Scaled once by the lcm 6 of the denominators; slots 0->1, 1->0,
+        # 1->2, 2->1, the reverses at capacity 0.
         assert n.denominator == 6
-        assert n.capacities.tolist() == [2, 3]
+        assert list(zip(n.tails.tolist(), n.heads.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+        assert n.capacities.tolist() == [2, 0, 3, 0]
         res = max_flow(n)
         assert res.denominator == 6
-        assert res.flows.tolist() == [2, 2]
+        assert res.flows.tolist() == [2, -2, 2, -2]
         assert res.value == Fraction(1, 3)
 
     def test_huge_capacities_use_exact_path(self):
         big = Fraction(10**30, 7)
         n = net(2, [(0, 1, big)])
-        assert n.capacities.tolist() == [10**30]
+        assert n.capacities.tolist() == [10**30, 0]
         res = max_flow(n)
         assert res.value == big
-        assert res.flows.dtype == object and res.flows.tolist() == [10**30]
+        assert res.flows.dtype == object and res.flows.tolist() == [10**30, -(10**30)]
+
+
+def non_canonical(n):
+    """The path network n = 0 -> 1 -> 2 with its slots in reverse order, and
+    cut to its two arcs (slots 0 and 2) without their reverses."""
+    unsorted = replace(n, tails=n.tails[::-1], heads=n.heads[::-1])
+    keep = [0, 2]
+    no_reverse = replace(n, tails=n.tails[keep], heads=n.heads[keep], capacities=n.capacities[keep])
+    return unsorted, no_reverse
 
 
 class TestVerifyFlow:
@@ -96,14 +116,31 @@ class TestVerifyFlow:
     def test_over_capacity_detected(self):
         n = net(2, [(0, 1, 1)])
         res = max_flow(n)
-        bad = replace(res, flows=res.flows + 1)
+        # Still skew-symmetric, so only the bound on slot 0 -> 1 fails.
+        bad = replace(res, flows=res.flows * 2)
         assert "capacity" in flow_violation(n, bad)
 
     def test_broken_conservation_detected(self):
         n = net(3, [(0, 1, 2), (1, 2, 2)])
         res = max_flow(n)
-        bad = replace(res, flows=np.array([2, 1]))
+        assert res.flows.tolist() == [2, -2, 2, -2]
+        bad = replace(res, flows=np.array([2, -2, 1, -1]))
         assert "conservation" in flow_violation(n, bad)
+
+    def test_skew_symmetry_violation_detected(self):
+        n = net(3, [(0, 1, 2), (1, 2, 2)])
+        res = max_flow(n)
+        # Slot 1 -> 0 no longer carries minus the flow of slot 0 -> 1.
+        bad = replace(res, flows=np.array([2, 0, 2, -2]))
+        assert "skew-symmetric" in flow_violation(n, bad)
+
+    def test_non_canonical_network_detected(self):
+        n = net(3, [(0, 1, 2), (1, 2, 2)])
+        res = max_flow(n)
+        unsorted, no_reverse = non_canonical(n)
+        assert "canonical" in flow_violation(unsorted, res)
+        no_reverse_res = replace(res, flows=res.flows[[0, 2]])
+        assert "canonical" in flow_violation(no_reverse, no_reverse_res)
 
     def test_denominator_mismatch_detected(self):
         n = net(2, [(0, 1, Fraction(1, 2))])
@@ -231,7 +268,7 @@ def assert_paths_agree(network, fast, exact):
 
 
 def auxiliary_networks():
-    """(label, arc network, link_base) of solve's network on K_n minus a
+    """(label, arc network, link-slot mask) of solve's network on K_n minus a
     Hamilton cycle (n <= 20) and on random-min-degree n=40 at 7/10."""
     graphs = [(f"K{n}-H", complete_minus_hamilton(n)) for n in range(7, 21)]
     for seed in range(4):
@@ -241,8 +278,8 @@ def auxiliary_networks():
         peel = peel_heavy_triangles(g)
         w = initial_weight(peel.residual)
         network = build_network(peel.residual, w, peel.deficiency)
-        arcnet, link_base = network.to_arc_network()
-        yield label, arcnet, link_base
+        arcnet, link_slots = network.to_arc_network()
+        yield label, arcnet, link_slots
 
 
 class TestPaths:
@@ -263,35 +300,70 @@ class TestPaths:
         assert min(kinds.values()) > 100, kinds
 
     def test_auxiliary_networks_agree(self, dinic_calls):
-        # Both are Dinic over the same arc order; on these networks they find
-        # the same flow on every link, so solve's transfers do not depend on
-        # the path.
-        for label, arcnet, b in auxiliary_networks():
+        # Both are Dinic over the same slots; on these networks they find the
+        # same flow on every link, so solve's transfers do not depend on the
+        # path.
+        for label, arcnet, link_slots in auxiliary_networks():
             fast, exact = both_paths(arcnet, dinic_calls)
             assert_paths_agree(arcnet, fast, exact)
-            net_fast = fast.flows[b::2] - fast.flows[b + 1 :: 2]
-            net_exact = exact.flows[b::2] - exact.flows[b + 1 :: 2]
+            net_fast = fast.flows[link_slots]
+            net_exact = exact.flows[link_slots]
             assert net_fast.tolist() == net_exact.tolist(), label
 
     def test_self_loop_and_zero_arcs(self, dinic_calls):
         network = net(3, [(0, 0, 4), (0, 1, 3), (1, 1, 2), (1, 2, 0), (1, 2, 2), (0, 2, 0)])
+        # The self-loops are dropped, the two 1 -> 2 arcs merged, and every
+        # slot has its reverse.
+        slots = list(zip(network.tails.tolist(), network.heads.tolist()))
+        assert slots == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+        assert network.capacities.tolist() == [3, 0, 0, 2, 0, 0]
         fast, exact = both_paths(network, dinic_calls)
         assert_paths_agree(network, fast, exact)
         assert fast.value == 2
-        assert fast.flows.tolist() == [0, 2, 0, 0, 2, 0]
+        assert fast.flows.tolist() == exact.flows.tolist() == [2, 0, -2, 2, 0, -2]
 
-    def test_parallel_arcs_fill_in_arc_order(self, dinic_calls):
+    def test_parallel_arcs_merge_into_one_slot(self, dinic_calls):
         network = net(3, [(0, 1, 2), (0, 1, 5), (1, 0, 4), (1, 2, 6), (0, 1, 1)])
+        slots = list(zip(network.tails.tolist(), network.heads.tolist()))
+        assert slots == [(0, 1), (1, 0), (1, 2), (2, 1)]
+        assert network.capacities.tolist() == [8, 4, 6, 0]
         res = max_flow(network)
         assert not dinic_calls
-        assert res.flows.tolist() == [2, 4, 0, 6, 0]
+        assert res.flows.tolist() == [6, -6, 6, -6]
         assert verify_flow(network, res)
+
+    def test_flow_on_other_slots_is_not_read(self, dinic_calls, monkeypatch):
+        # A flow matrix whose structure differs from the network's slots
+        # must stop the run, never be read slot by slot.
+        from scipy.sparse import csgraph
+
+        real = csgraph.maximum_flow
+
+        def shifted(matrix, source, sink, method):
+            result = real(matrix, source, sink, method=method)
+            flow = result.flow.copy()
+            flow.indices = np.roll(flow.indices, 1)
+            return SimpleNamespace(flow=flow, flow_value=result.flow_value)
+
+        monkeypatch.setattr(csgraph, "maximum_flow", shifted)
+        network = net(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
+        with pytest.raises(AssertionError, match="other slots"):
+            max_flow(network)
+        assert not dinic_calls
+
+    @pytest.mark.parametrize("limit", [maxflow._INT32_LIMIT, 0])
+    def test_non_canonical_network_rejected_on_both_paths(self, limit, monkeypatch):
+        monkeypatch.setattr(maxflow, "_INT32_LIMIT", limit)
+        unsorted, no_reverse = non_canonical(net(3, [(0, 1, 2), (1, 2, 2)]))
+        with pytest.raises(ValueError, match="CSR order"):
+            max_flow(unsorted)
+        with pytest.raises(ValueError, match="no reverse slot"):
+            max_flow(no_reverse)
 
     def test_guard_boundary(self, dinic_calls):
         # Path 0 -> 1 -> 2: the largest capacity plus the source's total.
         def path(a, b):
-            caps = np.array([a, b], np.int64)
-            return ArcNetwork(3, np.array([0, 1]), np.array([1, 2]), caps, 0, 2, 1)
+            return ArcNetwork.from_arcs(3, [0, 1], [1, 2], [a, b], 0, 2)
 
         assert max_flow(path(2**30 - 1, 2**30)).value == 2**30 - 1
         assert not dinic_calls
@@ -301,8 +373,8 @@ class TestPaths:
     def test_guard_sums_parallel_arcs(self, dinic_calls):
         # Each arc alone is 2**29, but the merged entry 0 -> 1 is 2**30, and
         # 2**30 + 2**30 reaches the bound.
-        caps = np.array([2**29, 2**29, 1], np.int64)
-        network = ArcNetwork(3, np.array([0, 0, 1]), np.array([1, 1, 2]), caps, 0, 2, 1)
+        network = ArcNetwork.from_arcs(3, [0, 0, 1], [1, 1, 2], [2**29, 2**29, 1], 0, 2)
+        assert network.capacities.tolist() == [2**30, 0, 1, 0]
         assert max_flow(network).value == 1
         assert len(dinic_calls) == 1
 
