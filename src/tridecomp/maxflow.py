@@ -1,8 +1,9 @@
 """Exact maximum flow over integer capacities with minimum-cut extraction.
 
 A network carries integer capacities over one shared `denominator`: the
-auxiliary network of `decompose` is built that way, and `from_triples`
-scales rational capacities once by the lcm of their denominators.
+auxiliary network of `decompose` is built that way, and a caller with
+rational capacities scales them once by the lcm of their denominators
+before `ArcNetwork.from_arcs`.
 
 Every network has one form, CSR order: its arcs ("slots") are sorted by
 (tail, head) with parallel arcs merged, no self-loops, and a reverse slot
@@ -29,7 +30,6 @@ of `max_flow`, so importing the package does not load it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,23 +97,6 @@ class ArcNetwork:
             denominator,
         )
 
-    @classmethod
-    def from_triples(cls, num_nodes, triples, source, sink):
-        """Network from (tail, head, rational capacity) triples."""
-        caps = [Fraction(c) for _, _, c in triples]
-        denominator = math.lcm(*(c.denominator for c in caps))
-        return cls.from_arcs(
-            num_nodes,
-            [t for t, _, _ in triples],
-            [h for _, h, _ in triples],
-            np.array(
-                [c.numerator * (denominator // c.denominator) for c in caps], dtype=object
-            ),
-            source,
-            sink,
-            denominator,
-        )
-
     @property
     def indptr(self):
         """Row v's slots are indptr[v]..indptr[v+1]-1 (int64, num_nodes + 1)."""
@@ -159,18 +142,14 @@ class FlowResult:
     `flows[p]` is the net flow on slot p of the network, from its tail to its
     head, as an integer over the shared `denominator` (an int64 array, or an
     object array of Python ints on networks whose capacities are); a slot and
-    its reverse carry opposite values. `flow(p)` gives it as an exact
-    rational. `source_side` is the bool mask of the nodes on the source side
-    of the cut.
+    its reverse carry opposite values. `source_side` is the bool mask of the
+    nodes on the source side of the cut.
     """
 
     value: Fraction
     flows: np.ndarray
     denominator: int
     source_side: np.ndarray
-
-    def flow(self, p):
-        return Fraction(int(self.flows[p]), self.denominator)
 
 
 def _int32_matrix(net):

@@ -6,12 +6,15 @@ enumeration. Expected values in the tests are computed (or were frozen) from
 these, never from the code under test.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from tridecomp.graph import from_edge_list
+from tridecomp.maxflow import ArcNetwork
 
 
 def complete_pairs(n):
@@ -68,6 +71,22 @@ def brute_links(g):
 def brute_edge_triangle_count(g, u, v):
     return sum(
         1 for w in range(g.n) if w not in (u, v) and g.adj[u, w] and g.adj[v, w]
+    )
+
+
+def network_from_triples(num_nodes, triples, source, sink):
+    """ArcNetwork from (tail, head, rational capacity) triples, the
+    capacities scaled once by the lcm of their denominators."""
+    caps = [Fraction(c) for _, _, c in triples]
+    denominator = math.lcm(*(c.denominator for c in caps))
+    return ArcNetwork.from_arcs(
+        num_nodes,
+        [t for t, _, _ in triples],
+        [h for _, h, _ in triples],
+        np.array([c.numerator * (denominator // c.denominator) for c in caps], dtype=object),
+        source,
+        sink,
+        denominator,
     )
 
 

@@ -1,4 +1,5 @@
-"""Exact LP oracle: feasibility verdicts, witnesses, determinism, guardrails."""
+"""Exact LP oracle: feasibility verdicts, witnesses, determinism, guardrails,
+and the float-guided path against the exact simplex."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from tridecomp import lp
 from tridecomp.decompose import CutCertificate, decompose
 from tridecomp.errors import LPSizeError
+from tridecomp.graph import enumerate_triangles, triangle_edge_ids
 from tridecomp.instances import GenSpec, generate
 from tridecomp.lp import lp_feasible
 from tridecomp.verify import verify
 
 from conftest import (
+    complete_graph,
     complete_minus_edge,
     complete_minus_hamilton,
     edge_weight_sums,
@@ -95,6 +98,11 @@ class TestWitnessQuality:
         assert first.decomposition.entries == second.decomposition.entries
 
 
+def _exact_only(mp):
+    """Switch the float phase off, so that `lp_feasible` runs the exact simplex."""
+    mp.setattr(lp, "_float_basis", lambda ids, m: None)
+
+
 def _spy_pivots(monkeypatch):
     """Record the dtype of the tableau at every call of `lp._pivot`."""
     dtypes = []
@@ -110,6 +118,7 @@ def _spy_pivots(monkeypatch):
 
 class TestTableauPaths:
     def test_python_tableau_matches_numpy(self, monkeypatch, k5_minus_edge):
+        _exact_only(monkeypatch)
         baseline = lp_feasible(k5_minus_edge)
         # Promote to Python ints before the first pivot.
         monkeypatch.setattr(lp, "_NUMPY_GUARD", 1)
@@ -120,10 +129,12 @@ class TestTableauPaths:
         assert forced.decomposition.entries == baseline.decomposition.entries
 
     def test_python_tableau_infeasible_case(self, monkeypatch):
+        _exact_only(monkeypatch)
         monkeypatch.setattr(lp, "_NUMPY_GUARD", 1)
         assert not lp_feasible(complete_minus_edge(4, (2, 3))).feasible
 
     def test_promotion_mid_run(self, monkeypatch):
+        _exact_only(monkeypatch)
         g = complete_minus_hamilton(10)
         baseline = lp_feasible(g)
         # Low enough that the guard trips after some int64 pivots.
@@ -139,8 +150,9 @@ class TestTableauPaths:
     @settings(max_examples=25, deadline=None)
     @given(graphs_strategy(max_n=6))
     def test_object_tableau_agrees_with_int64(self, g):
-        baseline = lp_feasible(g)
         with pytest.MonkeyPatch.context() as mp:
+            _exact_only(mp)
+            baseline = lp_feasible(g)
             mp.setattr(lp, "_NUMPY_GUARD", 1)
             forced = lp_feasible(g)
         assert forced.feasible == baseline.feasible
@@ -150,6 +162,7 @@ class TestTableauPaths:
 
 def _verdict_under_stall_limit(g, limit):
     with pytest.MonkeyPatch.context() as mp:
+        _exact_only(mp)
         mp.setattr(lp, "_STALL_LIMIT", limit)
         verdict = lp_feasible(g)
     if verdict.feasible:
@@ -183,12 +196,157 @@ class TestPivotRules:
 
     def test_pivot_count_regression(self, monkeypatch):
         # Bland's rule alone takes 2.5k-4.1k pivots on instances of this size.
+        _exact_only(monkeypatch)
         g = generate(GenSpec("random-min-degree", n=14, fraction=Fraction(4, 5), seed=0))
         pivots = _spy_pivots(monkeypatch)
         verdict = lp_feasible(g)
         assert verdict.feasible
         assert verify(g, verdict.decomposition).ok
         assert len(pivots) < 600
+
+
+def _exact_verdict(g):
+    with pytest.MonkeyPatch.context() as mp:
+        _exact_only(mp)
+        return lp_feasible(g)
+
+
+def _assert_same_verdict(g, verdict, exact):
+    assert verdict.feasible == exact.feasible
+    for v in (verdict, exact):
+        if v.feasible:
+            assert verify(g, v.decomposition).ok
+
+
+def _spy_phase_one(monkeypatch):
+    """Record every call of the exact simplex."""
+    calls = []
+    phase_one = lp._phase_one
+
+    def spy(ids, m):
+        calls.append(m)
+        return phase_one(ids, m)
+
+    monkeypatch.setattr(lp, "_phase_one", spy)
+    return calls
+
+
+class TestFloatGuided:
+    @settings(max_examples=40, deadline=None)
+    @given(graphs_strategy(max_n=7))
+    def test_random_graphs_agree(self, g):
+        _assert_same_verdict(g, lp_feasible(g), _exact_verdict(g))
+
+    @pytest.mark.parametrize("fraction", [Fraction(7, 10), Fraction(4, 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rmd14_same_witness(self, monkeypatch, fraction, seed):
+        # The float run ends on the exact run's final basis here, so the
+        # witnesses, and with them the oracle's output, coincide.
+        g = generate(GenSpec("random-min-degree", n=14, fraction=fraction, seed=seed))
+        exact = _exact_verdict(g)
+        calls = _spy_phase_one(monkeypatch)
+        verdict = lp_feasible(g)
+        assert calls == []
+        _assert_same_verdict(g, verdict, exact)
+        assert verdict.decomposition.entries == exact.decomposition.entries
+
+
+def _columns(g, triples):
+    """Column indices of the given vertex triples in the LP's triangle order."""
+    order = {tuple(t): j for j, t in enumerate(enumerate_triangles(g).tolist())}
+    return np.array(sorted(order[t] for t in triples))
+
+
+def _system(g, columns):
+    """Float A_S and the least-squares solution of A_S x = 1."""
+    ids = triangle_edge_ids(g, enumerate_triangles(g))[columns]
+    a = np.zeros((g.m, columns.size))
+    a[ids, np.arange(columns.size)[:, None]] = 1
+    x = np.linalg.lstsq(a, np.ones(g.m), rcond=None)[0]
+    return a, x
+
+
+# On K6, weight -1/2 on 012, 1/2 on abx for each edge ab of 012 and each x in
+# {3, 4, 5}, and 1 on 345 sums to 1 on every edge; these 11 columns have full
+# rank, so that negative solution is the only one.
+NEGATIVE_BASIS = [(0, 1, 2), (3, 4, 5)] + [
+    (a, b, x) for a, b in ((0, 1), (0, 2), (1, 2)) for x in (3, 4, 5)
+]
+
+
+class TestFallback:
+    """Whatever basis the float phase returns, a bad one lands on the exact
+    simplex and the verdict stays exact."""
+
+    def _run(self, monkeypatch, g, columns):
+        if columns is not None:
+            ids = triangle_edge_ids(g, enumerate_triangles(g))
+            assert lp._solve_on_columns(ids, g.m, columns) is None
+        exact = _exact_verdict(g)
+        monkeypatch.setattr(lp, "_float_basis", lambda ids, m: columns)
+        calls = _spy_phase_one(monkeypatch)
+        verdict = lp_feasible(g)
+        assert calls == [g.m]
+        _assert_same_verdict(g, verdict, exact)
+        if exact.feasible:
+            assert verdict.decomposition.entries == exact.decomposition.entries
+        return verdict
+
+    def test_negative_value(self, monkeypatch):
+        g = complete_graph(6)
+        columns = _columns(g, NEGATIVE_BASIS)
+        a, x = _system(g, columns)
+        assert np.linalg.matrix_rank(a) == columns.size
+        assert np.allclose(a @ x, 1) and x.min() < 0
+        assert self._run(monkeypatch, g, columns).feasible
+
+    def test_singular_basis(self, monkeypatch):
+        # 20 columns in 15 rows.
+        g = complete_graph(6)
+        columns = np.arange(20)
+        assert np.linalg.matrix_rank(_system(g, columns)[0]) < columns.size
+        assert self._run(monkeypatch, g, columns).feasible
+
+    @pytest.mark.parametrize(
+        "g, triples, feasible",
+        [
+            # Edge 34 lies in no chosen triangle.
+            (complete_graph(5), [(0, 1, 2)], True),
+            # Both triangles of the diamond must weigh 1, so edge 01 sums to 2.
+            (complete_minus_edge(4, (2, 3)), [(0, 1, 2), (0, 1, 3)], False),
+        ],
+    )
+    def test_inconsistent_basis(self, monkeypatch, g, triples, feasible):
+        columns = _columns(g, triples)
+        a, x = _system(g, columns)
+        assert np.linalg.matrix_rank(a) == columns.size
+        assert not np.allclose(a @ x, 1)
+        assert self._run(monkeypatch, g, columns).feasible == feasible
+
+    def test_no_basis_infeasible(self, monkeypatch):
+        assert not self._run(monkeypatch, INFEASIBLE_FIXTURES["diamond"], None).feasible
+
+    def test_no_basis_feasible(self, monkeypatch, k5_minus_edge):
+        assert self._run(monkeypatch, k5_minus_edge, None).feasible
+
+    def test_unverified_witness(self, monkeypatch, k5_minus_edge):
+        # Weight 1 on every basic column oversums the edges, so `verify`
+        # rejects the witness even though the solve accepted it.
+        exact = _exact_verdict(k5_minus_edge)
+        monkeypatch.setattr(
+            lp, "_solve_on_columns", lambda ids, m, columns: (np.ones(len(columns), np.int64),) * 2
+        )
+        calls = _spy_phase_one(monkeypatch)
+        verdict = lp_feasible(k5_minus_edge)
+        assert calls == [k5_minus_edge.m]
+        assert verdict.decomposition.entries == exact.decomposition.entries
+
+    def test_pivot_budget(self, monkeypatch):
+        g = generate(GenSpec("random-min-degree", n=14, fraction=Fraction(4, 5), seed=0))
+        ids = triangle_edge_ids(g, enumerate_triangles(g))
+        assert lp._float_basis(ids, g.m) is not None
+        monkeypatch.setattr(lp, "_FLOAT_PIVOTS", 10)
+        assert lp._float_basis(ids, g.m) is None
 
 
 class TestAgreementWithFlow:
