@@ -30,7 +30,7 @@ from .graph import (
 )
 from .instances import GenSpec, Xorshift64Star, generate, read_edge_list, write_edge_list
 from .lp import DEFAULT_MAX_LP_TRIANGLES, FeasibilityVerdict, lp_feasible
-from .maxflow import ArcNetwork, FlowResult, max_flow, verify_flow
+from .maxflow import ArcNetwork, FlowResult, max_flow
 from .peeling import PeelResult, peel_heavy_triangles
 from .verify import VerifyReport, verify
 
@@ -70,6 +70,5 @@ __all__ = [
     "read_edge_list",
     "solve",
     "verify",
-    "verify_flow",
     "write_edge_list",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from fractions import Fraction
+import warnings
 
 from .decompose import (
     CutCertificate,
@@ -19,6 +19,7 @@ from .decompose import (
     format_cut_certificate,
     format_decomposition,
     parse_decomposition,
+    parse_fraction,
     solve,
     with_peeled,
 )
@@ -43,7 +44,7 @@ EXIT_GUARDRAIL = 4
 
 def _fraction(text):
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from exc
 
@@ -121,27 +122,27 @@ def _write_output(args, text):
 def cmd_decompose(args):
     g = _load_graph(args)
     try:
-        outcome = decompose(g, mode=args.mode, max_links=args.max_links)
+        outcome = decompose(g, max_links=args.max_links)
     except EdgeInNoTriangleError as exc:
+        if not args.fallback_lp:
+            raise  # main reports it and exits 2
         print(f"infeasible: {exc}", file=sys.stderr)
-        if args.fallback_lp:
-            return _oracle_output(args, g)
-        return EXIT_INFEASIBLE
+        return _oracle_output(args, g, args.mode)
     if isinstance(outcome, CutCertificate):
         if args.fallback_lp:
-            return _oracle_output(args, g)
+            return _oracle_output(args, g, args.mode)
         _write_output(args, format_cut_certificate(outcome))
         return EXIT_INFEASIBLE
-    report = verify(g, outcome, mode=args.mode)
+    report = verify(g, outcome)
     if not report.ok:
         print(f"internal error, decomposition failed to verify: {report}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    _write_output(args, format_decomposition(outcome))
+    _write_output(args, format_decomposition(outcome, args.mode))
     print(f"verified: {report}", file=sys.stderr)
     return EXIT_OK
 
 
-def _oracle_output(args, g):
+def _oracle_output(args, g, mode):
     verdict = lp_feasible(g, max_triangles=args.max_lp_triangles)
     if not verdict.feasible:
         _write_output(args, "INFEASIBLE\n")
@@ -150,13 +151,12 @@ def _oracle_output(args, g):
     if not report.ok:
         print(f"internal error, oracle witness failed to verify: {report}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    _write_output(args, format_decomposition(verdict.decomposition))
+    _write_output(args, format_decomposition(verdict.decomposition, mode))
     return EXIT_OK
 
 
 def cmd_oracle(args):
-    g = _load_graph(args)
-    return _oracle_output(args, g)
+    return _oracle_output(args, _load_graph(args), "exact")
 
 
 def cmd_verify(args):
@@ -180,7 +180,7 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _scan_one(n, fraction, seed, mode, max_links, max_lp_triangles):
+def _scan_one(n, fraction, seed, max_links, max_lp_triangles):
     """One trial row: generate, peel, flow, optional oracle cross-check."""
     g = _generate(GenSpec("random-min-degree", n=n, fraction=fraction, seed=seed))
     peel = peel_heavy_triangles(g)
@@ -201,7 +201,7 @@ def _scan_one(n, fraction, seed, mode, max_links, max_lp_triangles):
         row["value"] = "0"
     else:
         try:
-            residual = solve(peel.residual, peel.deficiency, mode=mode, max_links=max_links)
+            residual = solve(peel.residual, peel.deficiency, max_links=max_links)
         except EdgeInNoTriangleError:
             pass
         if isinstance(residual, CutCertificate):
@@ -212,7 +212,7 @@ def _scan_one(n, fraction, seed, mode, max_links, max_lp_triangles):
             row["M"] = str(residual.required_flow)
             row["value"] = str(residual.required_flow)
     if row["flow_ok"]:
-        report = verify(g, with_peeled(g, peel.removed, residual, mode), mode=mode)
+        report = verify(g, with_peeled(g, peel.removed, residual))
         if not report.ok:
             raise AssertionError(f"scan trial produced an invalid decomposition: {report}")
     try:
@@ -236,12 +236,7 @@ def cmd_scan(args):
             ok = 0
             for sample in range(args.samples):
                 row = _scan_one(
-                    args.n,
-                    fraction,
-                    args.seed + sample,
-                    args.mode,
-                    args.max_links,
-                    args.max_lp_triangles,
+                    args.n, fraction, args.seed + sample, args.max_links, args.max_lp_triangles
                 )
                 rows.append(row)
                 ok += row["flow_ok"]
@@ -307,7 +302,6 @@ def build_parser():
     )
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--max-links", type=int, default=DEFAULT_MAX_LINKS)
     p.add_argument("--max-lp-triangles", type=int, default=DEFAULT_MAX_LP_TRIANGLES)
     p.add_argument("--out", help="CSV path (default stdout)")
@@ -321,7 +315,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_caps(args)
-        return args.func(args)
+        # A warning (the RegimeWarning) is one line, without the source
+        # location and code line of Python's default form.
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

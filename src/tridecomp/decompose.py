@@ -25,6 +25,7 @@ one denominator; peeled triangles join with numerator = denominator. Fractions
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,19 +85,17 @@ class Decomposition:
 
     Row i of `triangles`, an (t, 3) int array of rows a < b < c ordered by
     `_triangle_keys`, has weight numerators[i] / denominator, exactly: int64
-    behind a proven bound, else Python ints. `mode` only affects read-out.
+    behind a proven bound, else Python ints.
     """
 
-    graph: Graph | None
     triangles: np.ndarray
     numerators: np.ndarray
     denominator: int
-    mode: str = "exact"
     # Set by solve(): the flow value that was required and reached.
     required_flow: Fraction | None = None
 
     @classmethod
-    def from_entries(cls, entries, graph=None):
+    def from_entries(cls, entries):
         """(triangle, weight) pairs over the lcm of the weight denominators;
         Fraction(w) is exact for floats too. A triangle with a vertex id
         outside [0, 2**63) becomes (-1, -1, -1), which is no graph's triangle.
@@ -110,16 +109,13 @@ class Decomposition:
         numerators = [w.numerator * (denominator // w.denominator) for w in weights]
         dtype = _int_dtype(max(denominator, sum(map(abs, numerators))))
         triangles = np.array(rows, np.int64).reshape(-1, 3)
-        return cls(graph, triangles, np.array(numerators, dtype), denominator)
+        return cls(triangles, np.array(numerators, dtype), denominator)
 
     @property
     def entries(self):
-        """(triangle, Fraction) pairs, correctly rounded floats in float mode."""
+        """(triangle, Fraction) pairs."""
         d = self.denominator
-        if self.mode == "exact":
-            weights = [Fraction(x, d) for x in self.numerators.tolist()]
-        else:
-            weights = [x / d for x in self.numerators.tolist()]
+        weights = [Fraction(x, d) for x in self.numerators.tolist()]
         return list(zip(map(tuple, self.triangles.tolist()), weights))
 
 
@@ -129,8 +125,8 @@ def _triangle_keys(rows, n):
     return (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]
 
 
-def apply_transfer(assignment, links, net_flows):
-    """Move net_flows[i] of edge weight across link i, from e1 to e2.
+def apply_transfer(g, assignment, links, net_flows):
+    """Move net_flows[i] of edge weight across link i of g, from e1 to e2.
 
     Flows are integer numerators over half the assignment's denominator; a
     negative flow moves weight from e2 to e1. Sending f from e1 to e2
@@ -144,7 +140,6 @@ def apply_transfer(assignment, links, net_flows):
     flows = np.asarray(net_flows, dtype=nums.dtype)
     moving = np.flatnonzero(flows)
     flows = flows[moving]
-    g = assignment.graph
     # The sentinel n**3 exceeds every key, so a missing triangle never
     # indexes past the end.
     keys = np.append(_triangle_keys(assignment.triangles, g.n), g.n**3)
@@ -307,13 +302,12 @@ class CutCertificate:
     required_flow: Fraction
 
 
-def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS):
+def solve(residual, deficiency, max_links=DEFAULT_MAX_LINKS):
     """Redistribute uniform weights on a peeled residual graph.
 
     Returns a Decomposition of the residual graph in which every edge weight
     equals exactly 1, or a CutCertificate when the max flow misses the
-    required value. The flow and the transfers are always exact;
-    `mode="float"` only changes how the weights are read out.
+    required value.
     """
     triangles = enumerate_triangles(residual)
     uniform = initial_weight(residual, triangles=triangles)
@@ -356,19 +350,17 @@ def solve(residual, deficiency, mode="exact", max_links=DEFAULT_MAX_LINKS):
     start = uniform.numerator * (denominator // uniform.denominator)
     dtype = _int_dtype(start + 3 * (residual.n - 3) * network.link_capacity)
     numerators = np.full(len(triangles), start, dtype)
-    assignment = Decomposition(
-        residual, triangles, numerators, denominator, mode, network.required_flow
-    )
-    apply_transfer(assignment, links, flows[link_slots])
+    assignment = Decomposition(triangles, numerators, denominator, network.required_flow)
+    apply_transfer(residual, assignment, links, flows[link_slots])
     if 3 * sum(numerators.tolist()) != residual.m * denominator:
         raise AssertionError("total triangle weight drifted from m/3")
     return assignment
 
 
-def decompose(g, mode="exact", max_links=DEFAULT_MAX_LINKS):
+def decompose(g, max_links=DEFAULT_MAX_LINKS):
     """Full pipeline on an arbitrary graph; peeled triangles carry weight one."""
     if g.m == 0:
-        return with_peeled(g, [], None, mode)
+        return with_peeled(g, [], None)
     stats = degree_stats(g)
     if stats.deficiency >= REGIME_LIMIT:
         warnings.warn(
@@ -380,13 +372,13 @@ def decompose(g, mode="exact", max_links=DEFAULT_MAX_LINKS):
     peel = peel_heavy_triangles(g)
     residual = None
     if peel.residual.m > 0:
-        residual = solve(peel.residual, peel.deficiency, mode=mode, max_links=max_links)
+        residual = solve(peel.residual, peel.deficiency, max_links=max_links)
         if isinstance(residual, CutCertificate):
             return residual
-    return with_peeled(g, peel.removed, residual, mode)
+    return with_peeled(g, peel.removed, residual)
 
 
-def with_peeled(g, removed, residual, mode="exact"):
+def with_peeled(g, removed, residual):
     """The decomposition of g: the peeled triangles `removed` at weight one,
     joined with the Decomposition `residual` (None when nothing is left).
 
@@ -402,15 +394,15 @@ def with_peeled(g, removed, residual, mode="exact"):
         [np.full(len(removed), den, dtype), residual.numerators.astype(dtype)]
     )
     order = np.argsort(_triangle_keys(triangles, g.n))
-    return Decomposition(g, triangles[order], numerators[order], den, mode)
+    return Decomposition(triangles[order], numerators[order], den)
 
 
-def format_decomposition(d):
+def format_decomposition(d, mode="exact"):
     """Header, then one `a b c weight` line per row: reduced `p/q` weights,
-    or correctly rounded floats whose left-to-right sum is the total."""
+    or, in float mode, correctly rounded floats summing left to right to the total."""
     numerators = d.numerators
     den = d.denominator
-    if d.mode == "exact":
+    if mode == "exact":
         common = np.gcd(numerators, den)
         weights = [
             str(p) if q == 1 else f"{p}/{q}"
@@ -426,6 +418,20 @@ def format_decomposition(d):
     return "\n".join(lines) + "\n"
 
 
+# Python's default limit on the digits of an int made from a string.
+MAX_EXPONENT = 4300
+
+
+def parse_fraction(text):
+    """Fraction(text), but a decimal exponent beyond MAX_EXPONENT in magnitude
+    is a ValueError: Fraction("1e10000000") spends seconds on a 10**7-digit int."""
+    match = re.search(r"e[-+]?([\d_]+)\s*\Z", text, re.IGNORECASE)
+    digits = match[1].replace("_", "").lstrip("0") if match else ""
+    if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:
+        raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
+    return Fraction(text)
+
+
 def parse_decomposition(text):
     """Read the decomposition text format, exactly; duplicate triangles are
     kept as-is (the verifier sums them)."""
@@ -439,7 +445,7 @@ def parse_decomposition(text):
             raise InputFormatError(f"line {lineno}: expected 'u v w weight'")
         try:
             a, b, c = int(parts[0]), int(parts[1]), int(parts[2])
-            weight = Fraction(parts[3])
+            weight = parse_fraction(parts[3])
         except (ValueError, ZeroDivisionError) as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from exc
         if not a < b < c:

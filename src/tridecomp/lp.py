@@ -218,7 +218,7 @@ def _phase_one(ids, m):
         basis[leave_row] = entering
 
 
-def _witness(g, triangles, columns, rhs, den):
+def _witness(triangles, columns, rhs, den):
     """The decomposition with weight rhs[i] / den[i] on triangle columns[i]
     and 0 elsewhere, over the lcm of the reduced denominators."""
     common = np.gcd(rhs, den)
@@ -229,7 +229,7 @@ def _witness(g, triangles, columns, rhs, den):
         triangles.shape[0], _int_dtype(max(denominator, sum(map(abs, scaled))))
     )
     numerators[columns] = scaled
-    return Decomposition(g, triangles, numerators, denominator)
+    return Decomposition(triangles, numerators, denominator)
 
 
 def lp_feasible(g, max_triangles=DEFAULT_MAX_LP_TRIANGLES):
@@ -240,7 +240,7 @@ def lp_feasible(g, max_triangles=DEFAULT_MAX_LP_TRIANGLES):
     `max_triangles` triangles abort with LPSizeError.
     """
     if g.m == 0:
-        return FeasibilityVerdict(True, Decomposition.from_entries([], graph=g))
+        return FeasibilityVerdict(True, Decomposition.from_entries([]))
     triangles = enumerate_triangles(g)
     t = int(triangles.shape[0])
     if t > max_triangles:
@@ -252,7 +252,7 @@ def lp_feasible(g, max_triangles=DEFAULT_MAX_LP_TRIANGLES):
     columns = _float_basis(ids, g.m)
     solved = None if columns is None else _solve_on_columns(ids, g.m, columns)
     if solved is not None:
-        d = _witness(g, triangles, columns, *solved)
+        d = _witness(triangles, columns, *solved)
         if verify(g, d).ok:
             return FeasibilityVerdict(True, d)
 
@@ -261,7 +261,7 @@ def lp_feasible(g, max_triangles=DEFAULT_MAX_LP_TRIANGLES):
         return FeasibilityVerdict(False, None)
     # Basic triangle columns carry the values rhs_i / den_i; all others are 0.
     rows = [i for i, j in enumerate(basis) if j < t]
-    d = _witness(g, triangles, [basis[i] for i in rows], nums[rows, -1], dens[rows])
+    d = _witness(triangles, [basis[i] for i in rows], nums[rows, -1], dens[rows])
     report = verify(g, d)
     if not report.ok:
         raise AssertionError(f"simplex witness failed to verify: {report}")

@@ -302,8 +302,3 @@ def flow_violation(net, res):
     if Fraction(cut_cap, net.denominator) != res.value:
         return "cut capacity does not equal the flow value"
     return None
-
-
-def verify_flow(net, res):
-    """Independent recheck of capacity, conservation, value, and cut capacity."""
-    return flow_violation(net, res) is None

@@ -5,6 +5,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -165,6 +167,29 @@ class TestDecompose:
         assert code == 0
         assert out.startswith("# triangles=20")
 
+    def test_regime_warning_is_one_line(self, capsys):
+        # K13 minus a Hamilton cycle has deficiency 3/13, outside the regime.
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            code, _, err = run(capsys, "decompose", "--gen", "complete-minus-hamilton", "--n", "13")
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: deficiency 3/13 is at or above 1/10: outside the regime where the "
+            "flow method is guaranteed",
+            "verified: PASS: worst edge deviation 0, 0 negative weights, 0 invalid triangles",
+        ]
+
+    @pytest.mark.parametrize("argv", [("decompose", "--gen"), ("gen", "--family")])
+    def test_huge_fraction_exponent_refused(self, capsys, argv):
+        # Refused like any other non-fraction, without building 10**99999999.
+        for value in ("abc", "1e99999999"):
+            start = time.perf_counter()
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "random-min-degree", "--n", "10", "--fraction", value])
+            assert time.perf_counter() - start < 1
+            assert exc.value.code == 2
+            assert f"not a fraction: {value!r}" in capsys.readouterr().err
+
 
 class TestGoldenOutput:
     """`decompose` and `oracle` stdout, pinned byte for byte by its sha256."""
@@ -220,6 +245,16 @@ class TestGoldenOutput:
                 0,
                 "# triangles=160 total=71/3",
                 "504f987135ae6a46fec181875ac1df804de71a479bd72279cec230d05a469a61",
+            ),
+            (
+                # The oracle's witness is read out in the requested mode too.
+                (
+                    "decompose", "--gen", "random-min-degree", "--n", "14", "--fraction", "7/10",
+                    "--seed", "0", "--mode", "float", "--fallback-lp",
+                ),
+                0,
+                "# triangles=160 total=23.666666666666668",
+                "655ab265a999bcfcb21e9dbc205335dfbe2ce3608e230371ac739b1e740cb611",
             ),
         ],
     )
@@ -325,6 +360,18 @@ class TestVerifyCommand:
         decomp_path.write_text("0 1 nope\n")
         code, _, _ = run(capsys, "verify", str(graph_path), str(decomp_path))
         assert code == 3
+
+    def test_huge_exponent_exit_3(self, capsys, tmp_path):
+        # Expanding 1e99999999 would take minutes; the parser refuses it.
+        graph_path = tmp_path / "g.el"
+        decomp_path = tmp_path / "d.txt"
+        graph_path.write_text(write_edge_list(complete_graph(4)))
+        decomp_path.write_text("0 1 2 1e99999999\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(graph_path), str(decomp_path))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err.startswith("input error: line 1: exponent of '1e99999999' exceeds 4300")
 
 
 class TestOracle:
@@ -466,6 +513,13 @@ class TestScan:
         assert code == 3
         assert out == ""
         assert err.startswith("input error:")
+
+    def test_no_mode_option(self, capsys):
+        # The scan's result is always exact; --mode changed no byte of it.
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--n", "8", "--fractions", "1", "--mode", "float"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode float" in capsys.readouterr().err
 
     def test_unwritable_out_exit_3(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"

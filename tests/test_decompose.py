@@ -1,6 +1,8 @@
 """Decomposer pipeline: weights, network shape, transfers, full solves."""
 
+import dataclasses
 import importlib
+import time
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -130,7 +132,7 @@ class TestApplyTransfer:
         if triangles is None:
             triangles = enumerate_triangles(k4)
         nums = np.full(len(triangles), 4, np.int64)
-        return Decomposition(k4, triangles, nums, 8)
+        return Decomposition(triangles, nums, 8)
 
     def _links(self, k4, *pairs):
         e1 = [k4.edge_id(*a) for a, _ in pairs]
@@ -143,7 +145,7 @@ class TestApplyTransfer:
 
     def test_quarter_transfer(self, k4):
         a = self._uniform_k4(k4)
-        apply_transfer(a, self._links(k4, ((0, 1), (2, 3))), [1])
+        apply_transfer(k4, a, self._links(k4, ((0, 1), (2, 3))), [1])
         assert dict(a.entries) == {
             (0, 1, 2): Fraction(3, 8),
             (0, 1, 3): Fraction(3, 8),
@@ -161,7 +163,7 @@ class TestApplyTransfer:
     def test_zero_transfer_is_identity(self, k4):
         a = self._uniform_k4(k4)
         before = a.entries
-        apply_transfer(a, self._links(k4, ((0, 1), (2, 3))), [0])
+        apply_transfer(k4, a, self._links(k4, ((0, 1), (2, 3))), [0])
         assert a.entries == before
 
     def test_inverse_transfers_cancel(self, k4):
@@ -169,15 +171,15 @@ class TestApplyTransfer:
         a = self._uniform_k4(k4)
         before = a.entries
         pair = ((0, 2), (1, 3))
-        apply_transfer(a, self._links(k4, pair, pair), [1, -1])
+        apply_transfer(k4, a, self._links(k4, pair, pair), [1, -1])
         assert a.entries == before
-        apply_transfer(a, self._links(k4, pair), [1])
-        apply_transfer(a, self._links(k4, pair), [-1])
+        apply_transfer(k4, a, self._links(k4, pair), [1])
+        apply_transfer(k4, a, self._links(k4, pair), [-1])
         assert a.entries == before
 
     def test_reverse_direction(self, k4):
         a = self._uniform_k4(k4)
-        apply_transfer(a, self._links(k4, ((0, 1), (2, 3))), [-1])
+        apply_transfer(k4, a, self._links(k4, ((0, 1), (2, 3))), [-1])
         sums = self._edge_sums(k4, a)
         assert sums[0, 1] == Fraction(5, 4)
         assert sums[2, 3] == Fraction(3, 4)
@@ -186,7 +188,7 @@ class TestApplyTransfer:
         triangles = enumerate_triangles(k4)[1:]  # drop (0, 1, 2)
         a = self._uniform_k4(k4, triangles)
         with pytest.raises(UnknownTriangleError):
-            apply_transfer(a, self._links(k4, ((0, 1), (2, 3))), [1])
+            apply_transfer(k4, a, self._links(k4, ((0, 1), (2, 3))), [1])
 
 
 class TestSolve:
@@ -264,14 +266,17 @@ class TestSolve:
         assert len(calls) == 1
 
     def test_float_mode(self):
+        # Float read-out: each weight is the repr of the correctly rounded
+        # exact weight, and the total is their left-to-right float sum.
         g = complete_minus_hamilton(20)
-        assignment = solve(g, degree_stats(g).deficiency, mode="float")
-        for total in edge_weight_sums(g, assignment.entries).values():
-            assert abs(total - 1) < 1e-9
-        assert verify(g, assignment, mode="float").ok
-        # Float weights are the exact ones, correctly rounded.
-        exact = solve(g, degree_stats(g).deficiency)
-        assert assignment.entries == [(tri, float(w)) for tri, w in exact.entries]
+        assignment = solve(g, degree_stats(g).deficiency)
+        entries = assignment.entries
+        floats = [float(w) for _, w in entries]
+        text = format_decomposition(assignment, "float")
+        assert text.splitlines() == [f"# triangles={len(entries)} total={sum(floats)!r}"] + [
+            f"{a} {b} {c} {w!r}" for ((a, b, c), _), w in zip(entries, floats)
+        ]
+        assert verify(g, parse_decomposition(text), mode="float").ok
 
     def test_int64_guard_boundary(self, monkeypatch):
         # Numerators use int64 exactly when the bound start + 3(n-3)c, with
@@ -382,6 +387,11 @@ class TestDifferential:
         self._against_python_ints(g, degree_stats(g).deficiency)
 
 
+def test_decomposition_is_only_its_weights():
+    fields = [f.name for f in dataclasses.fields(Decomposition)]
+    assert fields == ["triangles", "numerators", "denominator", "required_flow"]
+
+
 class TestDecompose:
     def test_k4(self, k4):
         d = decompose(k4)
@@ -469,6 +479,21 @@ class TestSerialization:
     def test_parse_decimal_weights(self):
         parsed = parse_decomposition("0 1 2 0.5\n")
         assert parsed.entries == [((0, 1, 2), Fraction(1, 2))]
+
+    def test_parse_float_mode_tokens_exactly(self):
+        parsed = parse_decomposition("0 1 2 1.5e-05\n0 1 3 5e-324\n0 2 3 1E4300\n")
+        assert [w for _, w in parsed.entries] == [
+            Fraction(15, 10**6),
+            Fraction(5, 10**324),
+            Fraction(10**4300),
+        ]
+
+    @pytest.mark.parametrize("token", ["1e99999999", "1e-4301", "2.5E+1_0000", "1e0000004301"])
+    def test_parse_rejects_huge_exponents(self, token):
+        start = time.perf_counter()
+        with pytest.raises(InputFormatError, match="exceeds 4300 in magnitude"):
+            parse_decomposition(f"0 1 2 {token}\n")
+        assert time.perf_counter() - start < 1
 
 
 def test_value_never_exceeds_required():

@@ -190,7 +190,7 @@ class TestDifferential:
 
     def test_decomposition_and_entries_agree(self, k5):
         d = Decomposition.from_entries(
-            [(tri, Fraction(1, 3)) for tri in combinations(range(5), 3)], graph=k5
+            [(tri, Fraction(1, 3)) for tri in combinations(range(5), 3)]
         )
         assert d.numerators.dtype == np.int64
         assert verify(k5, d) == verify(k5, d.entries)
