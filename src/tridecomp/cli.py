@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import warnings
 
@@ -40,6 +41,16 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INFEASIBLE = 2
 EXIT_INPUT = 3
 EXIT_GUARDRAIL = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with exit 3 and an `input error:` line, since
+    argparse's own exit 2 means infeasible here."""
+
+    def error(self, message):
+        print(f"input error: {message}", file=sys.stderr)
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT)
 
 
 def _fraction(text):
@@ -255,8 +266,10 @@ def cmd_scan(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The argument parser, built once per process."""
+    parser = _Parser(
         prog="tridecomp",
         description="Fractional triangle decompositions of dense graphs",
     )
@@ -297,7 +310,7 @@ def build_parser():
     p.add_argument(
         "--fractions",
         type=lambda s: [_fraction(tok) for tok in s.split(",") if tok],
-        default=[],
+        default=(),
         help="comma-separated min-degree fractions",
     )
     p.add_argument("--samples", type=int, default=10)
@@ -311,8 +324,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_caps(args)
         # A warning (the RegimeWarning) is one line, without the source

@@ -399,22 +399,29 @@ def with_peeled(g, removed, residual):
 
 def format_decomposition(d, mode="exact"):
     """Header, then one `a b c weight` line per row: reduced `p/q` weights,
-    or, in float mode, correctly rounded floats summing left to right to the total."""
-    numerators = d.numerators
+    or, in float mode, correctly rounded floats summing left to right to the
+    total. Each distinct weight and vertex is formatted once."""
+    values, inverse = np.unique(d.numerators, return_inverse=True)
+    inverse = inverse.ravel().tolist()
     den = d.denominator
     if mode == "exact":
-        common = np.gcd(numerators, den)
-        weights = [
+        common = np.gcd(values, den)
+        strings = [
             str(p) if q == 1 else f"{p}/{q}"
-            for p, q in zip((numerators // common).tolist(), (den // common).tolist())
+            for p, q in zip((values // common).tolist(), (den // common).tolist())
         ]
-        total = str(Fraction(sum(numerators.tolist()), den))
+        total = str(Fraction(sum(d.numerators.tolist()), den))
     else:
-        floats = [x / den for x in numerators.tolist()]
-        weights = [repr(w) for w in floats]
-        total = repr(sum(floats))
-    lines = [f"# triangles={len(weights)} total={total}"]
-    lines += [f"{a} {b} {c} {w}" for (a, b, c), w in zip(d.triangles.tolist(), weights)]
+        floats = [x / den for x in values.tolist()]
+        strings = list(map(repr, floats))
+        total = repr(sum(floats[i] for i in inverse))
+    vertices, slots = np.unique(d.triangles, return_inverse=True)
+    labels = list(map(str, vertices.tolist()))
+    lines = [f"# triangles={len(inverse)} total={total}"]
+    lines += [
+        f"{labels[a]} {labels[b]} {labels[c]} {strings[i]}"
+        for (a, b, c), i in zip(slots.reshape(-1, 3).tolist(), inverse)
+    ]
     return "\n".join(lines) + "\n"
 
 

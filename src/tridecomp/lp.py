@@ -6,11 +6,14 @@ equal exactly 1, by minimizing the total artificial slack of A x + s = 1.
 Fast path. `_float_basis` runs the phase-1 simplex below on a float64 copy of
 the tableau, with the same pivot rules and ties decided within `_TOL`, and
 returns the triangle columns S of its final basis. `_solve_on_columns` then
-solves A_S x = 1 exactly on those columns alone, one exact pivot per column.
-The result is a witness only if A_S has full column rank, the system is
-consistent, x >= 0 and `verify` accepts it. In every other case (a float
-objective above `_TOL`, `_FLOAT_PIVOTS` pivots used up, a singular,
-inconsistent or negative solve) the exact simplex runs from scratch, so an
+solves A_S x = 1 exactly on those columns alone by Dixon's p-adic lifting: one
+forward elimination mod the prime `_PRIME` picks |S| rows of A_S and proves
+its full column rank, triangular solves mod p lift x digit by digit, and
+rational reconstruction over one common denominator proposes x after each
+step, accepted only once A_S x = 1 holds in integers. The result is a witness
+only if x >= 0 and `verify` accepts it. In every other case (a float
+objective above `_TOL`, `_FLOAT_PIVOTS` pivots used up, a rank deficit mod p,
+an inconsistent or negative solve) the exact simplex runs from scratch, so an
 INFEASIBLE verdict comes only from exact arithmetic. When the float run ends
 on the exact run's final basis, both give the same witness: B x_B = 1 with
 every basic artificial at 0 leaves A_S x_S = 1, whose solution is unique.
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -69,6 +73,9 @@ _STALL_LIMIT = 64
 # t = 2,415).
 _TOL = 1e-9
 _FLOAT_PIVOTS = 20_000
+
+# The prime of the exact solve's modular arithmetic, 2^25 - 39.
+_PRIME = 33_554_393
 
 
 @dataclass(frozen=True)
@@ -154,30 +161,135 @@ def _float_basis(ids, m):
     return None
 
 
-def _solve_on_columns(ids, m, columns):
-    """Exact x with A_S x = 1 on the triangle columns S, as (numerators,
-    denominators); None when A_S is singular, the system is inconsistent or
-    some x_j < 0. Column j is pivoted on the first unpivoted row where it is
-    nonzero, that row negated first if the entry is negative."""
-    nums, dens = _initial_tableau(ids[columns], m)
-    free = np.ones(m + 1, np.bool_)
-    free[m] = False
-    pivot_rows = []
-    for j in range(len(columns)):
-        rows = np.flatnonzero(free & (nums[:, j] != 0))
+def _eliminate(a):
+    """Forward elimination of the (m, k) int64 0/1 matrix `a` mod `_PRIME`,
+    in place. Column j pivots on the first row not pivoted yet whose entry is
+    nonzero; returns these rows in column order, or None when some column has
+    none, that is when `a` has rank below k mod p. Afterwards row pivots[j]
+    holds U's row j from column j on and, before it, L's multipliers: a[pivots]
+    packs L U = A_R mod p, A_R being the pivot rows of the input and L unit
+    lower triangular."""
+    m, k = a.shape
+    free = np.ones(m, np.bool_)
+    pivots = []
+    for j in range(k):
+        rows = (a[:, j] * free).nonzero()[0]
         if rows.size == 0:
             return None
         r = int(rows[0])
-        if nums[r, j] < 0:
-            nums[r] = -nums[r]
-        nums, dens = _promoted(nums, dens)
-        _pivot(nums, dens, r, j)
         free[r] = False
-        pivot_rows.append(r)
-    rhs = nums[:, -1]
-    if (rhs[free] != 0).any() or (rhs[pivot_rows] < 0).any():
+        pivots.append(r)
+        if rows.size > 1:
+            rows = rows[1:]
+            block = a[rows, j:]
+            # Entries are residues below p < 2^25, so l * a[r] < 2^50 and the
+            # difference stays far inside int64.
+            l = block[:, 0] * pow(int(a[r, j]), -1, _PRIME) % _PRIME
+            block[:, 1:] -= l[:, None] * a[r, j + 1 :]
+            block[:, 1:] %= _PRIME
+            block[:, 0] = l
+            a[rows, j:] = block
+    return pivots
+
+
+def _sparse_rows(a):
+    """Each row of the 2-D array `a` as (column indices, values), Python lists."""
+    rows, cols = np.nonzero(a)
+    ends = np.cumsum(np.bincount(rows, minlength=a.shape[0])).tolist()
+    cols, vals = cols.tolist(), a[rows, cols].tolist()
+    return [(cols[s:e], vals[s:e]) for s, e in zip([0] + ends, ends)]
+
+
+def _dot(row, y):
+    """The sum of values[i] * y[columns[i]] over a sparse row (columns, values)."""
+    cols, vals = row
+    return sum(map(mul, vals, map(y.__getitem__, cols)))
+
+
+def _lift_steps(k):
+    """The lifting steps s with p^s > k 3^k. Every column of A_R holds at most
+    three ones, so by Hadamard's inequality |det A_R| and each numerator of
+    x = A_R^-1 1 by Cramer's rule are at most H = sqrt(k 3^(k-1)); as
+    k 3^k > 2 H^2, reconstruction mod p^s recovers x."""
+    steps, power, bound = 1, _PRIME, k * 3**k
+    while power <= bound:
+        steps, power = steps + 1, power * _PRIME
+    return steps
+
+
+def _reconstruct(residues, modulus):
+    """Rationals congruent to `residues` mod `modulus` over one common
+    denominator, as (numerators, denominator); None once that denominator
+    would pass B = isqrt(modulus / 2). Each residue is first scaled by the
+    denominator found so far, so it reads as an integer within B unless it
+    adds a factor, which the half-extended Euclid finds (Wang 1981). As
+    2 B^2 < modulus, a fraction with numerator and denominator within B is the
+    only one for its residue, so past `_lift_steps` the answer is x itself."""
+    bound = math.isqrt(modulus // 2)
+    numerators, den = [], 1
+    for v in residues:
+        v = v * den % modulus
+        if modulus - v <= bound:
+            v -= modulus
+        elif v > bound:
+            r0, r1, s0, s1 = modulus, v, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if s1 < 0:
+                r1, s1 = -r1, -s1
+            if s1 * den > bound:
+                return None
+            numerators = [u * s1 for u in numerators]
+            den *= s1
+            v = r1
+        numerators.append(v)
+    return numerators, den
+
+
+def _solve_on_columns(ids, m, columns):
+    """Exact x with A_S x = 1 on the triangle columns S, as (numerators,
+    denominators); None when A_S is singular, the system is inconsistent or
+    some x_j < 0. Dixon's p-adic lifting (Numer. Math. 1982): `_eliminate`
+    picks k rows A_R with A_R invertible mod p, which proves A_S has full
+    column rank; each step solves A_R y = r mod p with the factors and sets
+    r <- (r - A_R y) / p, so that x = sum_i y_i p^i mod p^s after s steps."""
+    k = len(columns)
+    a = np.zeros((m, k), np.int64)
+    a[ids[columns], np.arange(k)[:, None]] = 1
+    edge_columns = [cols for cols, _ in _sparse_rows(a)]
+    pivots = _eliminate(a)
+    if pivots is None:
         return None
-    return rhs[pivot_rows], dens[pivot_rows]
+    lu = a[pivots]
+    lower, upper = _sparse_rows(np.tril(lu, -1)), _sparse_rows(np.triu(lu, 1))
+    p = _PRIME
+    inverse_diagonal = [pow(d, -1, p) for d in np.diagonal(lu).tolist()]
+    # Python ints from here on; each r_i stays within [-k, 1], since A_R is
+    # 0/1 with at most k ones a row and y < p.
+    r, x, modulus = [1] * k, [0] * k, 1
+    for _ in range(_lift_steps(k)):
+        y = []
+        for r_i, row in zip(r, lower):
+            y.append((r_i - _dot(row, y)) % p)
+        for i in reversed(range(k)):
+            y[i] = (y[i] - _dot(upper[i], y)) * inverse_diagonal[i] % p
+        r = [(r_i - sum(map(y.__getitem__, edge_columns[e]))) // p for r_i, e in zip(r, pivots)]
+        x = [x_j + y_j * modulus for x_j, y_j in zip(x, y)]
+        modulus *= p
+        found = _reconstruct(x, modulus)
+        if found is None:
+            continue
+        numerators, den = found
+        sums = [sum(map(numerators.__getitem__, cols)) for cols in edge_columns]
+        if any(sums[e] != den for e in pivots):
+            continue
+        # A_R x = 1 holds exactly, and A_R is nonsingular: x is the only
+        # candidate, so A_S x = 1 and x >= 0 decide.
+        if any(s != den for s in sums) or min(numerators, default=0) < 0:
+            return None
+        return np.array(numerators, object), np.full(k, den, object)
+    return None
 
 
 def _phase_one(ids, m):

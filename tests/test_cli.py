@@ -187,8 +187,10 @@ class TestDecompose:
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "random-min-degree", "--n", "10", "--fraction", value])
             assert time.perf_counter() - start < 1
-            assert exc.value.code == 2
-            assert f"not a fraction: {value!r}" in capsys.readouterr().err
+            assert exc.value.code == 3
+            err = capsys.readouterr().err
+            assert err.startswith("input error: ")
+            assert f"not a fraction: {value!r}" in err
 
 
 class TestGoldenOutput:
@@ -518,7 +520,7 @@ class TestScan:
         # The scan's result is always exact; --mode changed no byte of it.
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--n", "8", "--fractions", "1", "--mode", "float"])
-        assert exc.value.code == 2
+        assert exc.value.code == 3
         assert "unrecognized arguments: --mode float" in capsys.readouterr().err
 
     def test_unwritable_out_exit_3(self, capsys, tmp_path):
@@ -541,6 +543,85 @@ class TestScan:
         assert code == 3
         assert out == ""
         assert err.startswith("input error: cannot write")
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--family", "complete", "--n", "5", "--fraction", "abc"),
+            ("gen", "--family", "complete", "--bogus"),
+            ("oracle", "--gen", "complete", "--n", "x"),
+            ("nosuch",),
+            (),
+        ],
+    )
+    def test_refusal_exit_3(self, capsys, argv):
+        # Exit 2 means infeasible, so argparse's refusals exit 3 like any
+        # other input error.
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+
+    def test_refusal_exit_3_from_the_shell(self):
+        src = str(Path(tridecomp.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "tridecomp.cli", "gen", "--family", "complete", "--n", "5",
+             "--fraction", "abc"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("input error: argument --fraction: not a fraction: 'abc'")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("oracle", "--help")])
+    def test_help_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tridecomp")
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_successive_calls_do_not_leak(self, capsys, tmp_path):
+        target = tmp_path / "g.el"
+        assert main(
+            ["gen", "--family", "complete-multipartite", "--parts", "2,2,2", "--out", str(target)]
+        ) == 0
+        written = target.read_text()
+        code, out, _ = run(capsys, "gen", "--family", "complete", "--n", "5")
+        assert code == 0
+        assert out.splitlines()[0] == "5 10"
+        assert target.read_text() == written
+        code, out, _ = run(capsys, "decompose", "--gen", "complete", "--n", "7", "--mode", "float")
+        assert code == 0 and out.splitlines()[1] == "0 1 2 0.2"
+        code, out, _ = run(capsys, "decompose", "--gen", "complete", "--n", "7")
+        assert code == 0 and out.splitlines()[1] == "0 1 2 1/5"
+
+
+def test_oracle_does_not_load_scipy():
+    # scipy.sparse alone adds about 20 MB to the process; the oracle needs
+    # only numpy.
+    src = str(Path(tridecomp.__file__).resolve().parents[1])
+    code = (
+        "import os, sys, tridecomp.cli; "
+        "code = tridecomp.cli.main(['oracle', '--gen', 'random-min-degree', '--n', '14', "
+        "'--fraction', '4/5', '--out', os.devnull]); "
+        "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "0 []"
 
 
 def test_cli_import_does_not_load_scipy():

@@ -7,12 +7,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tridecomp import lp
 from tridecomp.decompose import CutCertificate, decompose
 from tridecomp.errors import LPSizeError
 from tridecomp.graph import enumerate_triangles, triangle_edge_ids
-from tridecomp.instances import GenSpec, generate
+from tridecomp.instances import GenSpec, Xorshift64Star, generate
 from tridecomp.lp import lp_feasible
 from tridecomp.verify import verify
 
@@ -347,6 +348,135 @@ class TestFallback:
         assert lp._float_basis(ids, g.m) is not None
         monkeypatch.setattr(lp, "_FLOAT_PIVOTS", 10)
         assert lp._float_basis(ids, g.m) is None
+
+
+def _values(columns, solved):
+    """{column: Fraction} from a `_solve_on_columns` result."""
+    return {int(j): Fraction(int(p), int(q)) for j, p, q in zip(columns, *solved)}
+
+
+@st.composite
+def dense_graphs(draw, max_n=9):
+    """K_n minus at most n/2 edges, 5 <= n <= max_n: mostly LP-feasible."""
+    n = draw(st.integers(min_value=5, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    removed = draw(st.sets(st.sampled_from(pairs), max_size=n // 2))
+    return make_graph([p for p in pairs if p not in removed], n)
+
+
+def _rmd14(seed):
+    return generate(GenSpec("random-min-degree", n=14, fraction=Fraction(4, 5), seed=seed))
+
+
+class TestLiftedSolve:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(graphs_strategy(max_n=7), dense_graphs()))
+    def test_matches_exact_simplex(self, g):
+        # On the exact simplex's own basis the lifted solve must return the
+        # simplex's values; on the float basis of an infeasible instance it
+        # must find nothing.
+        if g.m == 0 or enumerate_triangles(g).shape[0] == 0:
+            return
+        ids = triangle_edge_ids(g, enumerate_triangles(g))
+        basis, nums, dens = lp._phase_one(ids, g.m)
+        if nums[-1, -1] != 0:
+            columns = lp._float_basis(ids, g.m)
+            assert columns is None or lp._solve_on_columns(ids, g.m, columns) is None
+            return
+        rows = [i for i, j in enumerate(basis) if j < ids.shape[0]]
+        columns = np.array([basis[i] for i in rows])
+        expected = {
+            int(j): Fraction(int(nums[i, -1]), int(dens[i])) for i, j in zip(rows, columns)
+        }
+        assert _values(columns, lp._solve_on_columns(ids, g.m, columns)) == expected
+
+    def test_oracle_lp_instances_take_the_lifted_path(self, monkeypatch):
+        # The 16 instances of the benchmark's `oracle-lp` workload at seed 3.
+        rng = Xorshift64Star(3)
+        calls = _spy_phase_one(monkeypatch)
+        for _ in range(16):
+            g = _rmd14(rng.next_u64())
+            verdict = lp_feasible(g)
+            assert verdict.feasible
+            assert verify(g, verdict.decomposition).ok
+        assert calls == []
+
+    def test_reconstruct_round_trip(self):
+        values = [Fraction(3, 7), Fraction(-5, 14), Fraction(0), Fraction(2), Fraction(1, 3)]
+        modulus = lp._PRIME**2
+        residues = [v.numerator * pow(v.denominator, -1, modulus) % modulus for v in values]
+        numerators, den = lp._reconstruct(residues, modulus)
+        assert den == 42
+        assert [Fraction(a, den) for a in numerators] == values
+
+    @pytest.mark.parametrize("k", [1, 20, 84, 368])
+    def test_lift_steps_reach_the_bound(self, k):
+        steps = lp._lift_steps(k)
+        assert lp._PRIME**steps > k * 3**k >= lp._PRIME ** (steps - 1)
+
+
+class TestLiftFaults:
+    """A lifted solve that cannot finish lands on the exact simplex, which
+    gives the same verdict and witness as without the fault."""
+
+    def _run(self, monkeypatch, g):
+        exact = _exact_verdict(g)
+        calls = _spy_phase_one(monkeypatch)
+        verdict = lp_feasible(g)
+        assert calls == [g.m]
+        _assert_same_verdict(g, verdict, exact)
+        assert verdict.decomposition.entries == exact.decomposition.entries
+
+    def test_singular_mod_p(self, monkeypatch):
+        g = _rmd14(0)
+        ids = triangle_edge_ids(g, enumerate_triangles(g))
+        columns = lp._float_basis(ids, g.m)
+        monkeypatch.setattr(lp, "_PRIME", 2)
+        a = np.zeros((g.m, len(columns)), np.int64)
+        a[ids[columns], np.arange(len(columns))[:, None]] = 1
+        assert lp._eliminate(a) is None
+        self._run(monkeypatch, g)
+
+    def test_lift_capped_at_one_step(self, monkeypatch):
+        # This basis needs a second step: its denominator exceeds sqrt(p / 2).
+        g = _rmd14(2)
+        ids = triangle_edge_ids(g, enumerate_triangles(g))
+        columns = lp._float_basis(ids, g.m)
+        assert lp._solve_on_columns(ids, g.m, columns) is not None
+        monkeypatch.setattr(lp, "_lift_steps", lambda k: 1)
+        assert lp._solve_on_columns(ids, g.m, columns) is None
+        self._run(monkeypatch, g)
+
+    def test_false_candidate_does_not_end_the_lift(self, monkeypatch):
+        # A candidate that fails A_R x = 1 came from too few digits: lifting
+        # goes on and finds x.
+        g = _rmd14(0)
+        ids = triangle_edge_ids(g, enumerate_triangles(g))
+        columns = lp._float_basis(ids, g.m)
+        expected = _values(columns, lp._solve_on_columns(ids, g.m, columns))
+        reconstruct = lp._reconstruct
+        moduli = []
+
+        def zero_first(residues, modulus):
+            moduli.append(modulus)
+            return ([0] * len(residues), 1) if len(moduli) == 1 else reconstruct(residues, modulus)
+
+        monkeypatch.setattr(lp, "_reconstruct", zero_first)
+        assert _values(columns, lp._solve_on_columns(ids, g.m, columns)) == expected
+        assert moduli == [lp._PRIME, lp._PRIME**2]
+
+    def test_reconstruction_fails_the_check(self, monkeypatch):
+        reconstruct = lp._reconstruct
+
+        def off_by_one(residues, modulus):
+            found = reconstruct(residues, modulus)
+            if found is None:
+                return None
+            numerators, den = found
+            return [numerators[0] + 1] + numerators[1:], den
+
+        monkeypatch.setattr(lp, "_reconstruct", off_by_one)
+        self._run(monkeypatch, _rmd14(1))
 
 
 class TestAgreementWithFlow:
