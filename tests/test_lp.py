@@ -1,6 +1,7 @@
 """Exact LP oracle: feasibility verdicts, witnesses, determinism, guardrails,
 and the float-guided path against the exact simplex."""
 
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -368,6 +369,101 @@ def _rmd14(seed):
     return generate(GenSpec("random-min-degree", n=14, fraction=Fraction(4, 5), seed=seed))
 
 
+def _tableau_float_basis(ids, m):
+    """The float phase in tableau form: every pivot updates the whole
+    (m+1) x (t+1) float tableau. The reference that `lp._float_basis`, its
+    revised form, must match basis for basis."""
+    t = ids.shape[0]
+    tab = lp._initial_tableau(ids, m)[0].astype(np.float64)
+    basis = np.arange(t, t + m)
+    stalled = 0
+    for _ in range(lp._FLOAT_PIVOTS):
+        objective = tab[m, :t]
+        low = objective.min()
+        if low >= -lp._TOL:
+            return np.sort(basis[basis < t]) if tab[m, -1] >= -lp._TOL else None
+        if stalled >= lp._STALL_LIMIT:
+            entering = int(np.argmax(objective < -lp._TOL))
+        else:
+            entering = int(np.argmax(objective <= low + lp._TOL))
+        column = tab[:m, entering]
+        rows = np.flatnonzero(column > lp._TOL)
+        if rows.size == 0:
+            return None
+        ratios = tab[rows, -1] / column[rows]
+        best = ratios.min()
+        ties = rows[ratios <= best + lp._TOL]
+        leave_row = int(ties[np.argmin(basis[ties])])
+        stalled = stalled + 1 if best <= lp._TOL else 0
+        pivot_row = tab[leave_row] / tab[leave_row, entering]
+        tab -= np.outer(tab[:, entering], pivot_row)
+        tab[leave_row] = pivot_row
+        basis[leave_row] = entering
+    return None
+
+
+def _assert_same_basis(g):
+    ids = triangle_edge_ids(g, enumerate_triangles(g))
+    expected = _tableau_float_basis(ids, g.m)
+    columns = lp._float_basis(ids, g.m)
+    if expected is None:
+        assert columns is None
+    else:
+        assert columns is not None and columns.tolist() == expected.tolist()
+
+
+RMD_FRACTIONS = [Fraction(7, 10), Fraction(3, 4), Fraction(4, 5), Fraction(9, 10)]
+
+
+@functools.cache
+def _basis_instances(group):
+    """The fixed graphs on which the float phase is checked against the
+    tableau reference, by group."""
+    if group == "oracle-lp":
+        # The 16 instances of the benchmark's `oracle-lp` workload at seed 3.
+        rng = Xorshift64Star(3)
+        return [_rmd14(rng.next_u64()) for _ in range(16)]
+    if group == "hamilton":
+        return [complete_minus_hamilton(n) for n in range(7, 15)]
+    n = int(group.removeprefix("rmd"))
+    return [
+        generate(GenSpec("random-min-degree", n=n, fraction=f, seed=s))
+        for f in RMD_FRACTIONS
+        for s in range(3)
+    ]
+
+
+BASIS_GROUPS = ["oracle-lp", "rmd12", "rmd14", "rmd16", "hamilton"]
+
+
+class TestRevisedFloatPhase:
+    """The revised float phase returns the tableau reference's basis. A
+    stall limit of 0 is pure Bland and 3 switches rules inside degenerate
+    runs; pure Bland takes thousands of pivots an instance from n = 14 on,
+    so under it only the two cheapest groups run here."""
+
+    @pytest.mark.parametrize(
+        "group, limit",
+        [(group, limit) for limit in (None, 3) for group in BASIS_GROUPS]
+        + [("rmd12", 0), ("hamilton", 0)],
+    )
+    def test_fixed_graphs(self, monkeypatch, group, limit):
+        if limit is not None:
+            monkeypatch.setattr(lp, "_STALL_LIMIT", limit)
+        for g in _basis_instances(group):
+            _assert_same_basis(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(graphs_strategy(max_n=7), dense_graphs()))
+    def test_random_graphs(self, g):
+        if g.m == 0 or enumerate_triangles(g).shape[0] == 0:
+            return
+        for limit in (lp._STALL_LIMIT, 3, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lp, "_STALL_LIMIT", limit)
+                _assert_same_basis(g)
+
+
 class TestLiftedSolve:
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(graphs_strategy(max_n=7), dense_graphs()))
@@ -391,11 +487,8 @@ class TestLiftedSolve:
         assert _values(columns, lp._solve_on_columns(ids, g.m, columns)) == expected
 
     def test_oracle_lp_instances_take_the_lifted_path(self, monkeypatch):
-        # The 16 instances of the benchmark's `oracle-lp` workload at seed 3.
-        rng = Xorshift64Star(3)
         calls = _spy_phase_one(monkeypatch)
-        for _ in range(16):
-            g = _rmd14(rng.next_u64())
+        for g in _basis_instances("oracle-lp"):
             verdict = lp_feasible(g)
             assert verdict.feasible
             assert verify(g, verdict.decomposition).ok
