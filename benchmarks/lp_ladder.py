@@ -1,19 +1,24 @@
-"""LP oracle ladder: the float phase, the exact solve and `lp_feasible`, timed
-in-process on a fixed list of instances.
+"""LP oracle ladder: the float phase, the exact solve, the exact simplex and
+`lp_feasible`, timed in-process on a fixed list of instances.
 
     python benchmarks/lp_ladder.py
 
 Prints one JSON line per instance: its sizes m and t, |S| (the triangle
 columns of the float basis), the float pivots, and the seconds of
-`lp._float_basis`, of `lp._solve_on_columns` on its columns and of the whole
-`lp_feasible` call (each the median of up to 7 calls within about 1 s), with
-whether the exact simplex fallback ran. The package is imported from `src/`
-of the checkout this file lives in.
+`lp._float_basis`, of `lp._solve_on_columns` on its columns, of the exact
+simplex `lp._phase_one` and of the whole `lp_feasible` call (each the median
+of up to 7 calls within about 1 s), with whether the exact simplex fallback
+ran and the verdict. The package is imported from `src/` of the checkout this
+file lives in.
+
+The instances are random-min-degree graphs, which are feasible, and C4
+blow-ups with a clique in each part, which are infeasible. The exact simplex
+is timed up to n = 24 (`EXACT_MAX_N`), where it takes up to about 3 s on two
+shared vCPUs; above that size `"exact_s"` reads null.
 
 `lp_feasible` runs without the triangle cap. It is timed only when the float
 basis gives a solution that `verify` accepts: otherwise it would run the exact
-simplex, which takes about 10 s at n=20 and over 900 s at n=30. Such a line
-reads `"fallback": true` and `"lp_feasible_s": null`.
+simplex. Such a line reads `"fallback": true` and `"lp_feasible_s": null`.
 """
 
 from __future__ import annotations
@@ -24,21 +29,27 @@ import statistics
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tridecomp import lp  # noqa: E402
-from tridecomp.graph import enumerate_triangles, triangle_edge_ids  # noqa: E402
+from tridecomp.graph import enumerate_triangles, from_edge_list, triangle_edge_ids  # noqa: E402
 from tridecomp.instances import GenSpec, generate  # noqa: E402
 from tridecomp.verify import verify  # noqa: E402
 
-# (n, fraction, seed) of random-min-degree instances, smallest first.
+# (n, fraction, seed) of random-min-degree instances, smallest first, then
+# (n, None, None) of C4 blow-ups.
 LADDER = (
     [(14, Fraction(4, 5), seed) for seed in range(4)]
     + [(20, Fraction(4, 5), seed) for seed in range(2)]
     + [(30, Fraction(4, 5), 0), (40, Fraction(7, 10), 0), (40, Fraction(4, 5), 0)]
+    + [(n, None, None) for n in (12, 16, 20, 24)]
 )
+
+# The exact simplex is timed on instances up to this many vertices.
+EXACT_MAX_N = 24
 
 # A single call of a few milliseconds is mostly noise on a shared machine, so
 # small instances are timed as the median of several calls; a call of seconds
@@ -84,15 +95,25 @@ def _count_pivots(ids, m):
     return count
 
 
+def _c4_blowup(n):
+    """n = 4k vertices in parts V0..V3 of size k: a clique in each part, V_i
+    joined completely to V_{i+-1 mod 4} and not at all to V_{i+2}. Its min
+    degree is 3n/4 - 1, and its LP is infeasible."""
+    k = n // 4
+    return from_edge_list(
+        [(u, v) for u, v in combinations(range(n), 2) if v // k - u // k != 2], n
+    )
+
+
 def run(n, fraction, seed):
-    g = generate(GenSpec("random-min-degree", n=n, fraction=fraction, seed=seed))
+    if fraction is None:
+        g, name = _c4_blowup(n), f"c4-blowup n={n}"
+    else:
+        g = generate(GenSpec("random-min-degree", n=n, fraction=fraction, seed=seed))
+        name = f"random-min-degree n={n} fraction={fraction} seed={seed}"
     triangles = enumerate_triangles(g)
     ids = triangle_edge_ids(g, triangles)
-    record = {
-        "instance": f"random-min-degree n={n} fraction={fraction} seed={seed}",
-        "m": g.m,
-        "t": int(triangles.shape[0]),
-    }
+    record = {"instance": name, "m": g.m, "t": int(triangles.shape[0])}
     columns, record["float_s"] = _timed(lp._float_basis, ids, g.m)
     record["support"] = None if columns is None else len(columns)
     record["pivots"] = _count_pivots(ids, g.m)
@@ -100,6 +121,10 @@ def run(n, fraction, seed):
         lp._solve_on_columns, ids, g.m, columns
     )
     certified = solved is not None and verify(g, lp._witness(triangles, columns, *solved)).ok
+    record["exact_s"], record["verdict"] = None, "FEASIBLE" if certified else None
+    if n <= EXACT_MAX_N:
+        (_, nums, _), record["exact_s"] = _timed(lp._phase_one, ids, g.m)
+        record["verdict"] = "FEASIBLE" if nums[-1, -1] == 0 else "INFEASIBLE"
     record["lp_feasible_s"], record["fallback"] = None, True
     if certified:
         # Record whether `lp_feasible` calls the exact simplex after all.

@@ -3,33 +3,42 @@
 Decides whether non-negative triangle weights exist whose sums over each edge
 equal exactly 1, by minimizing the total artificial slack of A x + s = 1.
 
-Fast path. `_float_basis` runs the phase-1 simplex below in float64, with
-the same pivot rules and ties decided within `_TOL`, in revised form: every
-pivot is a row operation, so the tableau is M [A | 1] over the objective row
-for an (m+1) x (m+1) row transform M, and only M is stored. A triangle's
-column is the sum of M's columns at its three edge ids and the objective row
-three gathers from M's last row, so a pivot costs O(m^2 + t), not the
-O(m t) of a tableau update (Dantzig & Orchard-Hays 1954). It returns the
-triangle columns S of its final basis. `_solve_on_columns` then solves
-A_S x = 1 exactly on those columns alone by Dixon's p-adic lifting: one
-forward elimination mod the prime `_PRIME` picks |S| rows of A_S and proves
-its full column rank, triangular solves mod p lift x digit by digit, and
-rational reconstruction over one common denominator proposes x after each
-step, accepted only once A_S x = 1 holds in integers. The result is a witness
-only if x >= 0 and `verify` accepts it. In every other case (a float
-objective above `_TOL`, `_FLOAT_PIVOTS` pivots used up, a rank deficit mod p,
-an inconsistent or negative solve) the exact simplex runs from scratch, so an
-INFEASIBLE verdict comes only from exact arithmetic. When the float run ends
-on the exact run's final basis, both give the same witness: B x_B = 1 with
-every basic artificial at 0 leaves A_S x_S = 1, whose solution is unique.
+Revised form. Both runs of the phase-1 simplex below, the float64 one and
+the exact one, store only an (m+1) x (m+1) row transform M: every pivot is a
+row operation, so the tableau is M [A | 1] over the objective row. M starts
+as [[I, 1], [-1^T, -m]] (`_start_transform`); its last column holds the
+right-hand side M 1 over the objective value, in the slot of the objective
+row's own unit column, which no pivot changes. A triangle's column is the
+sum of M's columns at its three edge ids and the objective row three gathers
+from M's last row, so a pivot costs O(m^2 + t), not the O(m t) of a tableau
+update (Dantzig & Orchard-Hays 1954). When the exact run ends, y = -M[m, :m]
+is the phase-1 dual: y_ab + y_ac + y_bc <= 0 on every triangle and sum(y) is
+the objective, so on an infeasible instance y is a Farkas vector.
 
-Exact tableau. One pair of arrays: integer numerator rows `nums` and one
+Exact transform. One pair of arrays: integer numerator rows `nums` and one
 positive denominator per row `dens`, gcd-reduced after every pivot. There is
-one pivot, `_pivot`. It runs on int64 while every entry and denominator is
-below `_NUMPY_GUARD` = 2^31, so no cross product overflows; once the guard
-trips, both arrays are promoted to object arrays of Python ints and the same
-pivot continues on them. The phase-1 tableau is B^-1 [A | 1] over the
-objective row, (m+1) x (t+1): the artificial columns are never stored.
+one pivot, `_pivot`, handed the entering column. It runs on int64 while every
+entry of the transform, every denominator and every entry of the entering
+column is below `_NUMPY_GUARD` = 2^31, so no cross product overflows; the
+column is a sum of three transform entries and can reach the guard on its
+own, so the guard checks it too. Once the guard trips, all three are
+promoted to object arrays of Python ints and the same pivot continues on
+them.
+
+Fast path. `_float_basis` runs the same simplex in float64, with the same
+pivot rules and ties decided within `_TOL`, and returns the triangle columns
+S of its final basis. `_solve_on_columns` then solves A_S x = 1 exactly on
+those columns alone by Dixon's p-adic lifting: one forward elimination mod
+the prime `_PRIME` picks |S| rows of A_S and proves its full column rank,
+triangular solves mod p lift x digit by digit, and rational reconstruction
+over one common denominator proposes x after each step, accepted only once
+A_S x = 1 holds in integers. The result is a witness only if x >= 0 and
+`verify` accepts it. In every other case (a float objective above `_TOL`,
+`_FLOAT_PIVOTS` pivots used up, a rank deficit mod p, an inconsistent or
+negative solve) the exact simplex runs from scratch, so an INFEASIBLE verdict
+comes only from exact arithmetic. When the float run ends on the exact run's
+final basis, both give the same witness: B x_B = 1 with every basic
+artificial at 0 leaves A_S x_S = 1, whose solution is unique.
 
 Pivoting. The entering column is the one with the most negative objective-row
 entry (the largest-coefficient rule), ties going to the smallest index; the
@@ -93,60 +102,52 @@ class FeasibilityVerdict:
         return self.feasible
 
 
-def _pivot(nums, dens, r, c):
-    """Pivot in place on entry (r, c), which is positive: row i becomes
-    (p * row_i - a_i * row_r) / (p * den_i), then every row is gcd-reduced.
-    Runs unchanged on int64 and on object arrays of Python ints."""
-    p = nums[r, c]
-    col = nums[:, c].copy()
+def _start_transform(m, dtype):
+    """The row transform before the first pivot, [[I, 1], [-1^T, -m]]."""
+    transform = np.eye(m + 1, dtype=dtype)
+    transform[:m, m] = 1
+    transform[m] = -1
+    transform[m, m] = -m
+    return transform
+
+
+def _pivot(nums, dens, r, col):
+    """Pivot in place on row r of the entering column `col`, whose entry
+    there is positive: row i becomes (p * row_i - col_i * row_r) / (p * den_i),
+    then every row is gcd-reduced. Runs unchanged on int64 and on object
+    arrays of Python ints."""
+    p = col[r]
     pivot_row = nums[r].copy()
     nums *= p
-    nums -= np.outer(col, pivot_row)
+    nums -= col[:, None] * pivot_row
     nums[r] = pivot_row
     dens *= p
     dens[r] = p
-    g = np.gcd(np.gcd.reduce(np.abs(nums), axis=1), dens)
-    g[g == 0] = 1
+    # np.gcd is never negative, and dens > 0 keeps every g >= 1.
+    g = np.gcd(np.gcd.reduce(nums, axis=1), dens)
     nums //= g[:, None]
     dens //= g
 
 
-def _promoted(nums, dens):
-    """The tableau as Python ints once an entry reaches `_NUMPY_GUARD`."""
-    if nums.dtype != object:
-        peak = max(int(np.abs(nums).max(initial=0)), int(dens.max(initial=1)))
-        if peak >= _NUMPY_GUARD:
-            return nums.astype(object), dens.astype(object)
-    return nums, dens
-
-
-def _initial_tableau(ids, m):
-    """Phase-1 tableau [A | 1] over the objective row, from the (t, 3)
-    triangle edge ids: one row per edge, one column per triangle, then the
-    right-hand side."""
-    t = ids.shape[0]
-    nums = np.zeros((m + 1, t + 1), np.int64)
-    nums[ids, np.arange(t)[:, None]] = 1
-    nums[:m, -1] = 1
-    # Minus the column sums: each triangle column holds three ones.
-    nums[m, :t] = -3
-    nums[m, -1] = -m
-    return nums, np.ones(m + 1, np.int64)
+def _promoted(nums, dens, col):
+    """The transform and the entering column as Python ints once an entry of
+    any of them reaches `_NUMPY_GUARD`."""
+    if nums.dtype != object and (
+        max(np.abs(nums).max(), dens.max(), np.abs(col).max()) >= _NUMPY_GUARD
+    ):
+        return nums.astype(object), dens.astype(object), col.astype(object)
+    return nums, dens, col
 
 
 def _float_basis(ids, m):
     """Triangle columns of the final basis of the phase-1 simplex run in
     float64, sorted; None when its objective ends above `_TOL`, no row can
     leave, or `_FLOAT_PIVOTS` pivots run out. Revised form (module
-    docstring): only the row transform M is pivoted, with the right-hand side
-    M 1 as its last column; it starts as [[I, 1], [-1^T, -m]]."""
+    docstring): only the row transform M is pivoted."""
     t = ids.shape[0]
     a, b, c = ids.T.copy()
     edges = ids.tolist()
-    transform = np.eye(m + 1)
-    transform[:m, m] = 1
-    transform[m] = -1
-    transform[m, m] = -m
+    transform = _start_transform(m, np.float64)
     # Views, so they follow the pivots as long as M is updated in place.
     objective_row, rhs = transform[m], transform[:m, m]
     basis = np.arange(t, t + m)
@@ -315,15 +316,19 @@ def _solve_on_columns(ids, m, columns):
 
 
 def _phase_one(ids, m):
-    """Run the exact phase-1 simplex; returns the final basis and (nums,
-    dens). Basis entries t..t+m-1 are the artificials."""
+    """Run the exact phase-1 simplex in revised form; returns the final basis
+    and the transform (nums, dens), whose last column is the right-hand side
+    over the objective value. Basis entries t..t+m-1 are the artificials."""
     t = ids.shape[0]
-    nums, dens = _initial_tableau(ids, m)
+    edge_ids = ids.T.copy()
+    edges = ids.tolist()
+    nums = _start_transform(m, np.int64)
+    dens = np.ones(m + 1, np.int64)
     basis = list(range(t, t + m))
     stalled = 0
 
     while True:
-        objective = nums[m, :t]
+        objective = nums[m][edge_ids].sum(axis=0)
         candidates = np.flatnonzero(objective < 0)
         if candidates.size == 0:
             return basis, nums, dens
@@ -331,13 +336,14 @@ def _phase_one(ids, m):
             entering = int(candidates[0])
         else:
             entering = int(candidates[np.argmin(objective[candidates])])
-        rows = np.flatnonzero(nums[:m, entering] > 0)
+        i, j, k = edges[entering]
+        column = nums[:, i] + nums[:, j]
+        column += nums[:, k]
+        rows = np.flatnonzero(column[:m] > 0)
         leave_row = None
         best_num = best_den = None
-        for i, a, rn in zip(
-            rows.tolist(), nums[rows, entering].tolist(), nums[rows, -1].tolist()
-        ):
-            # Ratios share the row denominator with the pivot entry, so the
+        for i, a, rn in zip(rows.tolist(), column[rows].tolist(), nums[rows, m].tolist()):
+            # Ratios share the row denominator with the column entry, so the
             # comparison rhs_i/a_i < rhs_k/a_k is the integer cross product.
             if leave_row is None or rn * best_den < best_num * a or (
                 rn * best_den == best_num * a and basis[i] < basis[leave_row]
@@ -347,8 +353,8 @@ def _phase_one(ids, m):
         if leave_row is None:
             raise AssertionError("phase-1 objective is bounded; no pivot row found")
         stalled = stalled + 1 if best_num == 0 else 0
-        nums, dens = _promoted(nums, dens)
-        _pivot(nums, dens, leave_row, entering)
+        nums, dens, column = _promoted(nums, dens, column)
+        _pivot(nums, dens, leave_row, column)
         basis[leave_row] = entering
 
 

@@ -106,7 +106,7 @@ def _exact_only(mp):
 
 
 def _spy_pivots(monkeypatch):
-    """Record the dtype of the tableau at every call of `lp._pivot`."""
+    """Record the dtype of the transform at every call of `lp._pivot`."""
     dtypes = []
     pivot = lp._pivot
 
@@ -369,12 +369,81 @@ def _rmd14(seed):
     return generate(GenSpec("random-min-degree", n=14, fraction=Fraction(4, 5), seed=seed))
 
 
+def _initial_tableau(ids, m):
+    """Phase-1 tableau [A | 1] over the objective row, from the (t, 3)
+    triangle edge ids: one row per edge, one column per triangle, then the
+    right-hand side."""
+    t = ids.shape[0]
+    nums = np.zeros((m + 1, t + 1), np.int64)
+    nums[ids, np.arange(t)[:, None]] = 1
+    nums[:m, -1] = 1
+    # Minus the column sums: each triangle column holds three ones.
+    nums[m, :t] = -3
+    nums[m, -1] = -m
+    return nums, np.ones(m + 1, np.int64)
+
+
+def _tableau_pivot(nums, dens, r, c):
+    """Pivot the whole tableau in place on its entry (r, c), then gcd-reduce
+    every row."""
+    p = nums[r, c]
+    col = nums[:, c].copy()
+    pivot_row = nums[r].copy()
+    nums *= p
+    nums -= np.outer(col, pivot_row)
+    nums[r] = pivot_row
+    dens *= p
+    dens[r] = p
+    g = np.gcd(np.gcd.reduce(np.abs(nums), axis=1), dens)
+    g[g == 0] = 1
+    nums //= g[:, None]
+    dens //= g
+
+
+def _tableau_phase_one(ids, m):
+    """The exact phase-1 simplex in tableau form: every pivot updates the
+    whole (m+1) x (t+1) integer tableau, promoted to Python ints once an
+    entry reaches `lp._NUMPY_GUARD`. The reference that `lp._phase_one`, its
+    revised form, must match pivot for pivot. Returns the final basis, the
+    tableau (nums, dens) and the number of pivots."""
+    t = ids.shape[0]
+    nums, dens = _initial_tableau(ids, m)
+    basis = list(range(t, t + m))
+    stalled = pivots = 0
+    while True:
+        objective = nums[m, :t]
+        candidates = np.flatnonzero(objective < 0)
+        if candidates.size == 0:
+            return basis, nums, dens, pivots
+        if stalled >= lp._STALL_LIMIT:
+            entering = int(candidates[0])
+        else:
+            entering = int(candidates[np.argmin(objective[candidates])])
+        rows = np.flatnonzero(nums[:m, entering] > 0)
+        leave_row = None
+        best_num = best_den = None
+        for i, a, rn in zip(
+            rows.tolist(), nums[rows, entering].tolist(), nums[rows, -1].tolist()
+        ):
+            if leave_row is None or rn * best_den < best_num * a or (
+                rn * best_den == best_num * a and basis[i] < basis[leave_row]
+            ):
+                leave_row = i
+                best_num, best_den = rn, a
+        stalled = stalled + 1 if best_num == 0 else 0
+        if nums.dtype != object and max(np.abs(nums).max(), dens.max()) >= lp._NUMPY_GUARD:
+            nums, dens = nums.astype(object), dens.astype(object)
+        _tableau_pivot(nums, dens, leave_row, entering)
+        basis[leave_row] = entering
+        pivots += 1
+
+
 def _tableau_float_basis(ids, m):
     """The float phase in tableau form: every pivot updates the whole
     (m+1) x (t+1) float tableau. The reference that `lp._float_basis`, its
     revised form, must match basis for basis."""
     t = ids.shape[0]
-    tab = lp._initial_tableau(ids, m)[0].astype(np.float64)
+    tab = _initial_tableau(ids, m)[0].astype(np.float64)
     basis = np.arange(t, t + m)
     stalled = 0
     for _ in range(lp._FLOAT_PIVOTS):
@@ -462,6 +531,127 @@ class TestRevisedFloatPhase:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(lp, "_STALL_LIMIT", limit)
                 _assert_same_basis(g)
+
+
+def _c4_blowup(n):
+    """The C4 blow-up with a clique in each part: n = 4k vertices in parts
+    V0..V3 of size k, V_i joined completely to V_{i+-1 mod 4} and not at all to
+    V_{i+2}. Infeasible for every k >= 2."""
+    k = n // 4
+    return make_graph(
+        [(u, v) for u, v in combinations(range(n), 2) if v // k - u // k != 2], n
+    )
+
+
+EXACT_FRACTIONS = [Fraction(*f) for f in ((1, 2), (11, 20), (3, 5), (7, 10), (4, 5), (9, 10))]
+
+
+@functools.cache
+def _exact_instances(group):
+    """The fixed graphs on which the exact simplex is checked against the
+    tableau reference, by group, as (graph, triangle edge ids)."""
+    if group == "fixtures":
+        graphs = [INFEASIBLE_FIXTURES[name] for name in sorted(INFEASIBLE_FIXTURES)]
+    elif group == "hamilton":
+        graphs = [complete_minus_hamilton(n) for n in range(7, 13)]
+    elif group == "c4":
+        graphs = [_c4_blowup(n) for n in (12, 16)]
+    else:
+        n = int(group.removeprefix("rmd"))
+        graphs = [
+            generate(GenSpec("random-min-degree", n=n, fraction=f, seed=s))
+            for f in EXACT_FRACTIONS
+            for s in range(3)
+        ]
+    return [(g, triangle_edge_ids(g, enumerate_triangles(g))) for g in graphs]
+
+
+EXACT_GROUPS = ["fixtures", "rmd10", "rmd12", "hamilton", "c4"]
+
+
+def _rhs_values(nums, dens):
+    """The last column as Fractions: the basic values, then the objective."""
+    return [Fraction(int(p), int(q)) for p, q in zip(nums[:, -1], dens)]
+
+
+def _assert_farkas(ids, m, nums, dens):
+    """y = -M[m, :m] of a final transform over dens[m] > 0 has
+    y_ab + y_ac + y_bc <= 0 on every triangle and sum(y) > 0, in integers:
+    no x >= 0 has A x = 1."""
+    y = np.array([-int(v) for v in nums[m, :m]], object)
+    assert int(dens[m]) > 0
+    assert all(s <= 0 for s in y[ids].sum(axis=1))
+    assert sum(y) == -int(nums[m, m]) > 0
+
+
+def _assert_same_run(ids, m):
+    expected_basis, expected_nums, expected_dens, expected_pivots = _tableau_phase_one(ids, m)
+    calls = []
+    pivot = lp._pivot
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_pivot", lambda *args: calls.append(1) or pivot(*args))
+        basis, nums, dens = lp._phase_one(ids, m)
+    assert nums.shape == (m + 1, m + 1)
+    assert basis == expected_basis
+    assert len(calls) == expected_pivots
+    # The last value is the objective, which gives the verdict.
+    assert _rhs_values(nums, dens) == _rhs_values(expected_nums, expected_dens)
+    if nums[m, m] != 0:
+        _assert_farkas(ids, m, nums, dens)
+
+
+class TestRevisedExactPhase:
+    """The revised exact simplex makes the tableau reference's pivots: the
+    same count, the same final basis, and the same basic values and
+    objective. On an infeasible run its final dual is a Farkas vector. A
+    stall limit of 0 is pure Bland and 3 switches rules inside degenerate
+    runs."""
+
+    @pytest.mark.parametrize(
+        "group, limit",
+        [(group, limit) for limit in (None, 3) for group in EXACT_GROUPS]
+        + [("fixtures", 0), ("hamilton", 0)],
+    )
+    def test_fixed_graphs(self, monkeypatch, group, limit):
+        if limit is not None:
+            monkeypatch.setattr(lp, "_STALL_LIMIT", limit)
+        for g, ids in _exact_instances(group):
+            _assert_same_run(ids, g.m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(graphs_strategy(max_n=7), dense_graphs()))
+    def test_random_graphs(self, g):
+        if g.m == 0 or enumerate_triangles(g).shape[0] == 0:
+            return
+        ids = triangle_edge_ids(g, enumerate_triangles(g))
+        for limit in (lp._STALL_LIMIT, 3, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lp, "_STALL_LIMIT", limit)
+                _assert_same_run(ids, g.m)
+
+    @pytest.mark.parametrize("group", ["fixtures", "c4"])
+    def test_final_dual_is_a_farkas_vector(self, group):
+        # Every graph of these groups is infeasible; `_assert_same_run` makes
+        # the same check on every infeasible run above.
+        for g, ids in _exact_instances(group):
+            _, nums, dens = lp._phase_one(ids, g.m)
+            _assert_farkas(ids, g.m, nums, dens)
+
+    def test_guard_covers_the_entering_column(self):
+        # Every transform entry is below the guard, but the entering column,
+        # a sum of three of them, reaches it: its pivot would overflow int64.
+        big = lp._NUMPY_GUARD - 1
+        nums = lp._start_transform(3, np.int64)
+        nums[0, :3] = big
+        dens = np.ones(4, np.int64)
+        column = nums[:, 0] + nums[:, 1] + nums[:, 2]
+        assert np.abs(nums).max() < lp._NUMPY_GUARD <= column.max()
+        promoted = lp._promoted(nums, dens, column)
+        assert [a.dtype for a in promoted] == [np.dtype(object)] * 3
+        assert [a.tolist() for a in promoted] == [nums.tolist(), dens.tolist(), column.tolist()]
+        small = column.copy()
+        small[0] = big
+        assert [a.dtype for a in lp._promoted(nums, dens, small)] == [np.dtype(np.int64)] * 3
 
 
 class TestLiftedSolve:
