@@ -48,7 +48,7 @@ from .graph import (
     triangles_per_edge,
 )
 from .kernels import pair_keys, split_keys
-from .maxflow import ArcNetwork, max_flow
+from .maxflow import ArcNetwork, fits_int32, max_flow
 from .peeling import peel_heavy_triangles
 
 REGIME_LIMIT = Fraction(1, 10)
@@ -201,7 +201,9 @@ class FlowNetwork:
         supersource -> e for each source edge and e -> supersink for each
         sink edge, with their zero-capacity reverses. The link slots are the
         slots (e1, e2) with e1 < e2 < m; CSR order lists them in the
-        canonical link order.
+        canonical link order. The capacities are int32 when
+        `maxflow.fits_int32` holds for them, so the scipy path wraps them
+        without a copy.
         """
         m = self.residual.m
         nodes = m + 2
@@ -226,7 +228,12 @@ class FlowNetwork:
         keys.sort()
         tails, heads = split_keys(keys, nodes)
         del keys
-        caps = np.full(tails.size, self.link_capacity, terminals.dtype)
+        # Every slot holds the link capacity, a terminal capacity or 0.
+        link = self.link_capacity if e1.size else 0
+        largest = max(int(np.abs(terminals).max(initial=0)), link)
+        supply = int(terminals[sources].sum())
+        fits = fits_int32(largest, supply, tails.size, nodes)
+        caps = np.full(tails.size, link, np.int32 if fits else terminals.dtype)
         net = ArcNetwork(
             nodes,
             tails,

@@ -17,15 +17,18 @@ the slots as an int32 CSR matrix to scipy's compiled Dinic
 (`scipy.sparse.csgraph.maximum_flow`), which returns its flow matrix on
 exactly these slots, so the flows are its data array; it runs only when
 the network's values prove that no capacity, flow or residual can overflow
-int32 (see `_int32_matrix`). Every other network goes to
+int32 (see `fits_int32`). Every other network goes to
 `kernels.max_flow_int`, a Dinic over Python integers that walks the same
 slots through a reverse-slot index and returns capacity minus residual.
 Both are Dinic, whose phase count is bounded by the node count, so
-termination does not depend on capacity values. Either way the minimum cut
-is the set of nodes reachable from the source in the residual network,
-which is the same for every maximum flow, and max-flow/min-cut duality is
-asserted before the result is returned. scipy is imported on the first call
-of `max_flow`, so importing the package does not load it.
+termination does not depend on capacity values. The minimum cut is the set
+of nodes reachable from the source in the residual network, which is the
+same for every maximum flow. On a saturating flow, one whose value equals
+the total capacity out of the source, every source slot has residual 0, so
+the scipy path takes the cut {source} with no search. Either way
+max-flow/min-cut duality is asserted before the result is returned. scipy
+is imported on the first call of `max_flow`, so importing the package does
+not load it.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ class ArcNetwork:
 
     `tails` and `heads` are integer arrays, sorted by (tail, head) without
     repeats or self-loops, and every (tail, head) has its (head, tail);
-    `capacities` is an int64 array, or an object array of Python ints when
-    the values may not fit. `from_arcs` brings any arc list into this form.
+    `capacities` is an int64 array, an int32 array when `fits_int32` holds
+    for its values, or an object array of Python ints when the values may
+    not fit int64. `from_arcs` brings any arc list into this form.
     """
 
     num_nodes: int
@@ -152,33 +156,39 @@ class FlowResult:
     source_side: np.ndarray
 
 
-def _int32_matrix(net):
-    """The capacity matrix on the network's slots as int32 CSR, or None.
+def fits_int32(max_capacity, supply, num_slots, num_nodes):
+    """Whether scipy's int32 Dinic is exact on a network with these values.
 
     Every augmenting path adds its bottleneck to the flow value and at most
     that much to any slot, so no slot ever carries more than the value, which
-    is at most S, the total capacity out of the source. The residual of a
-    slot (i, j) is C[i, j] + F[j, i] <= max C + S. So when max C + S < 2**31
-    (and the node and slot counts fit int32 indices), every capacity, flow,
-    residual and the value fit in int32. A network without slots takes the
-    Python path, which returns at once.
+    is at most the supply S, the total capacity out of the source. The
+    residual of a slot (i, j) is C[i, j] + F[j, i] <= max C + S. So when
+    max C + S < 2**31 (and the node and slot counts fit int32 indices),
+    every capacity, flow, residual and the value fit in int32.
+    """
+    return (
+        max(num_slots, num_nodes) < _INT32_LIMIT
+        and max_capacity + supply < _INT32_LIMIT
+    )
+
+
+def _int32_matrix(net):
+    """The capacity matrix on the network's slots as int32 CSR, or None when
+    `fits_int32` fails. Int32 capacities are wrapped, not copied. A network
+    without slots takes the Python path, which returns at once.
     """
     caps = net.capacities
-    if (
-        caps.size == 0
-        or max(caps.size, net.num_nodes) >= _INT32_LIMIT
-        or caps.max() >= _INT32_LIMIT
-    ):
+    if caps.size == 0:
         return None
     indptr = net.indptr
-    supply = int(caps[indptr[net.source] : indptr[net.source + 1]].sum())
-    if int(caps.max()) + supply >= _INT32_LIMIT:
+    supply = sum(caps[indptr[net.source] : indptr[net.source + 1]].tolist())
+    if not fits_int32(int(caps.max()), supply, caps.size, net.num_nodes):
         return None
     from scipy.sparse import csr_array
 
     return csr_array(
         (
-            caps.astype(np.int32),
+            caps.astype(np.int32, copy=False),
             net.heads.astype(np.int32, copy=False),
             indptr.astype(np.int32),
         ),
@@ -187,7 +197,8 @@ def _int32_matrix(net):
 
 
 def _scipy_max_flow(net, matrix):
-    """(value, per-slot int64 net flows, source-side mask) from scipy's Dinic.
+    """(value, per-slot int64 net flows, source-side mask, cut capacity) from
+    scipy's Dinic.
 
     scipy adds a zero-capacity reverse for every entry that lacks one and
     returns its flow matrix on the resulting slots. A network in CSR form has
@@ -205,6 +216,15 @@ def _scipy_max_flow(net, matrix):
     ):
         net.reverse_slots()  # names a missing reverse slot, if there is one
         raise AssertionError("scipy returned its flow on other slots than the network's")
+    value = int(result.flow_value)
+    side = np.zeros(net.num_nodes, np.bool_)
+    side[net.source] = True
+    supply = int(matrix.data[matrix.indptr[net.source] : matrix.indptr[net.source + 1]].sum())
+    if value == supply:
+        # No slot carries more than its capacity, so the source row's net
+        # outflow reaches its capacity sum only when every source slot is
+        # saturated: no residual leaves the source.
+        return value, flow.data.astype(np.int64), side, supply
     # Capacity minus net flow is each slot's residual; the zeros are dropped
     # so that only positive residuals are edges of the search. The index
     # arrays are copied because dropping works in place and `matrix` shares
@@ -216,9 +236,11 @@ def _scipy_max_flow(net, matrix):
     reached = breadth_first_order(
         residual, net.source, directed=True, return_predecessors=False
     )
-    side = np.zeros(net.num_nodes, np.bool_)
     side[reached] = True
-    return int(result.flow_value), flow.data.astype(np.int64), side
+    # At most 2**31 slots of less than 2**31 each: the sum fits int64.
+    crossing = side[net.tails] & ~side[net.heads]
+    cut_cap = int(matrix.data[crossing].sum(dtype=np.int64))
+    return value, flow.data.astype(np.int64), side, cut_cap
 
 
 def max_flow(net):
@@ -235,11 +257,12 @@ def max_flow(net):
             net.reverse_slots().tolist(),
             net.capacities.tolist(),
         )
-        flows = np.array(flows, dtype=net.capacities.dtype)
+        # int32 capacities still give int64 flows, object ones Python ints.
+        flows = np.array(flows, dtype=np.promote_types(net.capacities.dtype, np.int64))
         side = np.array(reach, dtype=np.bool_)
+        cut_cap = sum(net.capacities[side[net.tails] & ~side[net.heads]].tolist())
     else:
-        value, flows, side = _scipy_max_flow(net, matrix)
-    cut_cap = sum(net.capacities[side[net.tails] & ~side[net.heads]].tolist())
+        value, flows, side, cut_cap = _scipy_max_flow(net, matrix)
     if cut_cap != value:
         raise AssertionError(
             f"max-flow/min-cut duality violated: value {value} vs cut {cut_cap}"

@@ -267,19 +267,31 @@ def assert_paths_agree(network, fast, exact):
     assert flow_violation(network, exact) is None
 
 
+def flow_network(g):
+    """solve's FlowNetwork on the residual of g."""
+    peel = peel_heavy_triangles(g)
+    w = initial_weight(peel.residual)
+    return build_network(peel.residual, w, peel.deficiency)
+
+
+def rmd40(seed):
+    return generate(GenSpec("random-min-degree", 40, Fraction(7, 10), seed))
+
+
 def auxiliary_networks():
     """(label, arc network, link-slot mask) of solve's network on K_n minus a
     Hamilton cycle (n <= 20) and on random-min-degree n=40 at 7/10."""
     graphs = [(f"K{n}-H", complete_minus_hamilton(n)) for n in range(7, 21)]
-    for seed in range(4):
-        spec = GenSpec("random-min-degree", 40, Fraction(7, 10), seed)
-        graphs.append((f"rmd40 7/10 seed {seed}", generate(spec)))
+    graphs += [(f"rmd40 7/10 seed {seed}", rmd40(seed)) for seed in range(4)]
     for label, g in graphs:
-        peel = peel_heavy_triangles(g)
-        w = initial_weight(peel.residual)
-        network = build_network(peel.residual, w, peel.deficiency)
-        arcnet, link_slots = network.to_arc_network()
+        arcnet, link_slots = flow_network(g).to_arc_network()
         yield label, arcnet, link_slots
+
+
+def supply(network):
+    """The total capacity out of the source, as a Python int."""
+    row = network.indptr[network.source : network.source + 2]
+    return sum(network.capacities[row[0] : row[1]].tolist())
 
 
 class TestPaths:
@@ -302,10 +314,11 @@ class TestPaths:
     def test_auxiliary_networks_agree(self, dinic_calls):
         # Both are Dinic over the same slots; on these networks they find the
         # same flow on every link, so solve's transfers do not depend on the
-        # path.
+        # path. Their capacities are int32, and both paths give int64 flows.
         for label, arcnet, link_slots in auxiliary_networks():
             fast, exact = both_paths(arcnet, dinic_calls)
             assert_paths_agree(arcnet, fast, exact)
+            assert fast.flows.dtype == exact.flows.dtype == np.int64, label
             net_fast = fast.flows[link_slots]
             net_exact = exact.flows[link_slots]
             assert net_fast.tolist() == net_exact.tolist(), label
@@ -377,6 +390,91 @@ class TestPaths:
         assert network.capacities.tolist() == [2**30, 0, 1, 0]
         assert max_flow(network).value == 1
         assert len(dinic_calls) == 1
+
+
+class TestInt32Capacities:
+    def test_auxiliary_capacities_are_wrapped_not_copied(self):
+        for label, arcnet, _ in auxiliary_networks():
+            caps = arcnet.capacities
+            fits = maxflow.fits_int32(
+                int(caps.max()), supply(arcnet), caps.size, arcnet.num_nodes
+            )
+            assert fits and caps.dtype == np.int32, label
+            assert np.shares_memory(maxflow._int32_matrix(arcnet).data, caps), label
+
+    def test_network_past_the_guard_keeps_int64(self, dinic_calls):
+        # The same graph with the link capacity set so that max C + S ends
+        # just below the bound, then at it.
+        network = flow_network(complete_minus_hamilton(8))
+        arcnet, _ = network.to_arc_network()
+        limit = maxflow._INT32_LIMIT - supply(arcnet)
+        assert limit > int(np.abs(network.terminals).max())
+        results = []
+        for link_capacity, dtype in [(limit - 1, np.int32), (limit, np.int64)]:
+            arcnet, _ = replace(network, link_capacity=link_capacity).to_arc_network()
+            caps = arcnet.capacities
+            assert caps.dtype == dtype and int(caps.max()) == link_capacity
+            res = max_flow(arcnet)
+            assert res.flows.dtype == np.int64
+            assert flow_violation(arcnet, res) is None
+            results.append(res)
+        assert len(dinic_calls) == 1
+        assert results[0].value == results[1].value
+        assert results[0].source_side.tolist() == results[1].source_side.tolist()
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Records each call of scipy's breadth-first search, the cut search."""
+    from scipy.sparse import csgraph
+
+    calls = []
+    real = csgraph.breadth_first_order
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "breadth_first_order", spy)
+    return calls
+
+
+def assert_source_alone(network, res):
+    assert res.value * res.denominator == supply(network)
+    assert np.flatnonzero(res.source_side).tolist() == [network.source]
+    assert flow_violation(network, res) is None
+
+
+class TestSaturatingFlowSkipsSearch:
+    @pytest.mark.parametrize("n", range(13, 21))
+    def test_saturating_auxiliary_networks(self, n, search_calls, dinic_calls):
+        # K_n minus a Hamilton cycle saturates from n = 13 on.
+        arcnet, _ = flow_network(complete_minus_hamilton(n)).to_arc_network()
+        assert_source_alone(arcnet, max_flow(arcnet))
+        assert not search_calls and not dinic_calls
+
+    def test_arc_into_the_source(self, search_calls, dinic_calls):
+        # 1 -> 0 and 2 -> 0 put their zero reverses in the source's row;
+        # the flow saturates 0 -> 1 and leaves both arcs into the source idle.
+        network = ArcNetwork.from_arcs(4, [0, 1, 1, 2], [1, 0, 3, 0], [2, 5, 3, 1], 0, 3)
+        assert network.heads[network.tails == 0].tolist() == [1, 2]
+        res = max_flow(network)
+        assert res.value == 2
+        assert_source_alone(network, res)
+        assert not search_calls and not dinic_calls
+
+    @pytest.mark.parametrize(
+        "graph, arg",
+        [(complete_minus_hamilton, n) for n in range(7, 13)] + [(rmd40, seed) for seed in range(2)],
+    )
+    def test_cut_networks_still_search(self, graph, arg, search_calls, dinic_calls):
+        # K_n minus a Hamilton cycle gives a cut up to n = 12.
+        arcnet, _ = flow_network(graph(arg)).to_arc_network()
+        res = max_flow(arcnet)
+        assert res.value * res.denominator < supply(arcnet)
+        assert search_calls == [arcnet.source] and not dinic_calls
+        assert res.source_side.sum() > 1
+        assert flow_violation(arcnet, res) is None
 
 
 def networkx_value(network):
