@@ -5,19 +5,7 @@ transfers driven by an exact max-flow computation; an independent exact LP
 oracle and an exact verifier cross-check every result.
 """
 
-from .decompose import (
-    CutCertificate,
-    Decomposition,
-    FlowNetwork,
-    apply_transfer,
-    build_network,
-    decompose,
-    format_cut_certificate,
-    format_decomposition,
-    initial_weight,
-    parse_decomposition,
-    solve,
-)
+from .decompose import FlowNetwork, apply_transfer, build_network, decompose, initial_weight, solve
 from .graph import (
     DEFAULT_MAX_LINKS,
     DegreeStats,
@@ -32,7 +20,15 @@ from .instances import GenSpec, Xorshift64Star, generate, read_edge_list, write_
 from .lp import DEFAULT_MAX_LP_TRIANGLES, FeasibilityVerdict, lp_feasible
 from .maxflow import ArcNetwork, FlowResult, max_flow
 from .peeling import PeelResult, peel_heavy_triangles
-from .verify import VerifyReport, verify
+from .verify import (
+    CutCertificate,
+    Decomposition,
+    VerifyReport,
+    format_cut_certificate,
+    format_decomposition,
+    parse_decomposition,
+    verify,
+)
 
 __version__ = "0.1.0"
 

@@ -14,16 +14,7 @@ import functools
 import sys
 import warnings
 
-from .decompose import (
-    CutCertificate,
-    decompose,
-    format_cut_certificate,
-    format_decomposition,
-    parse_decomposition,
-    parse_fraction,
-    solve,
-    with_peeled,
-)
+from .decompose import decompose, solve, with_peeled
 from .errors import (
     EdgeInNoTriangleError,
     GuardrailError,
@@ -34,7 +25,14 @@ from .graph import DEFAULT_MAX_LINKS
 from .instances import GenSpec, generate, read_edge_list, write_edge_list
 from .lp import DEFAULT_MAX_LP_TRIANGLES, lp_feasible
 from .peeling import peel_heavy_triangles
-from .verify import verify
+from .verify import (
+    CutCertificate,
+    format_cut_certificate,
+    format_decomposition,
+    parse_decomposition,
+    parse_fraction,
+    verify,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

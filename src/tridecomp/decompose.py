@@ -16,16 +16,15 @@ denominator D, the lcm of the denominators of w and of the link capacity.
 Triangle weights are integer numerators over 2D, so a flow f/D across a link
 moves exactly f on each of its four triangles. Both are numpy int64 arrays
 when a bound proven from the inputs keeps every value and partial sum below
-2**62, and object arrays of Python ints otherwise. Every weight set (from the
-flow, the LP oracle or a file) is one `Decomposition` of such numerators over
-one denominator; peeled triangles join with numerator = denominator. Fractions
-(or, in float mode, correctly rounded floats) are made only at read-out.
+2**62, and object arrays of Python ints otherwise (`verify._int_dtype`). The
+result is a `verify.Decomposition` of such numerators over one denominator;
+peeled triangles join with numerator = denominator. Fractions (or, in float
+mode, correctly rounded floats) are made only at read-out.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,6 @@ import numpy as np
 from .errors import (
     EdgeInNoTriangleError,
     EmptyGraphError,
-    InputFormatError,
     RegimeWarning,
     UnknownTriangleError,
 )
@@ -50,16 +48,9 @@ from .graph import (
 from .kernels import pair_keys, split_keys
 from .maxflow import ArcNetwork, fits_int32, max_flow
 from .peeling import peel_heavy_triangles
+from .verify import CutCertificate, Decomposition, _int_dtype
 
 REGIME_LIMIT = Fraction(1, 10)
-
-# int64 arithmetic is used only where every value stays below this bound.
-_INT64_LIMIT = 1 << 62
-
-
-def _int_dtype(bound):
-    """int64 when no value or partial sum reaches `bound`, else Python ints."""
-    return np.int64 if bound < _INT64_LIMIT else object
 
 
 def initial_weight(residual, triangles=None):
@@ -77,46 +68,6 @@ def initial_weight(residual, triangles=None):
         e = int(missing[0])
         raise EdgeInNoTriangleError(e, residual.endpoints(e))
     return Fraction(residual.m, 3 * triangles.shape[0])
-
-
-@dataclass(eq=False)
-class Decomposition:
-    """Triangle weights as integer numerators over one shared denominator.
-
-    Row i of `triangles`, an (t, 3) int array of rows a < b < c ordered by
-    `_triangle_keys`, has weight numerators[i] / denominator, exactly: int64
-    behind a proven bound, else Python ints.
-    """
-
-    triangles: np.ndarray
-    numerators: np.ndarray
-    denominator: int
-    # Set by solve(): the flow value that was required and reached.
-    required_flow: Fraction | None = None
-
-    @classmethod
-    def from_entries(cls, entries):
-        """(triangle, weight) pairs over the lcm of the weight denominators;
-        Fraction(w) is exact for floats too. A triangle with a vertex id
-        outside [0, 2**63) becomes (-1, -1, -1), which is no graph's triangle.
-        """
-        rows, weights = [], []
-        for tri, w in entries:
-            fits = 0 <= min(tri) and max(tri) < 1 << 63
-            rows.append(tuple(tri) if fits else (-1, -1, -1))
-            weights.append(Fraction(w))
-        denominator = math.lcm(*(w.denominator for w in weights))
-        numerators = [w.numerator * (denominator // w.denominator) for w in weights]
-        dtype = _int_dtype(max(denominator, sum(map(abs, numerators))))
-        triangles = np.array(rows, np.int64).reshape(-1, 3)
-        return cls(triangles, np.array(numerators, dtype), denominator)
-
-    @property
-    def entries(self):
-        """(triangle, Fraction) pairs."""
-        d = self.denominator
-        weights = [Fraction(x, d) for x in self.numerators.tolist()]
-        return list(zip(map(tuple, self.triangles.tolist()), weights))
 
 
 def _triangle_keys(rows, n):
@@ -296,19 +247,6 @@ def build_network(residual, uniform_weight, deficiency, max_links=DEFAULT_MAX_LI
     )
 
 
-@dataclass(frozen=True)
-class CutCertificate:
-    """Witness that the maximum flow falls short of the required value.
-
-    `source_side_edges` are the residual-graph edge ids whose network nodes
-    sit on the supersource side of a minimum cut of capacity < required_flow.
-    """
-
-    source_side_edges: list
-    cut_capacity: Fraction
-    required_flow: Fraction
-
-
 def solve(residual, deficiency, max_links=DEFAULT_MAX_LINKS):
     """Redistribute uniform weights on a peeled residual graph.
 
@@ -395,81 +333,10 @@ def with_peeled(g, removed, residual):
     if residual is None:
         residual = Decomposition.from_entries([])
     den = residual.denominator
-    dtype = residual.numerators.dtype if den < _INT64_LIMIT else object
+    dtype = np.result_type(residual.numerators.dtype, _int_dtype(den))
     triangles = np.concatenate([np.array(removed, np.int32).reshape(-1, 3), residual.triangles])
     numerators = np.concatenate(
         [np.full(len(removed), den, dtype), residual.numerators.astype(dtype)]
     )
     order = np.argsort(_triangle_keys(triangles, g.n))
     return Decomposition(triangles[order], numerators[order], den)
-
-
-def format_decomposition(d, mode="exact"):
-    """Header, then one `a b c weight` line per row: reduced `p/q` weights,
-    or, in float mode, correctly rounded floats summing left to right to the
-    total. Each distinct weight and vertex is formatted once."""
-    values, inverse = np.unique(d.numerators, return_inverse=True)
-    inverse = inverse.ravel().tolist()
-    den = d.denominator
-    if mode == "exact":
-        common = np.gcd(values, den)
-        strings = [
-            str(p) if q == 1 else f"{p}/{q}"
-            for p, q in zip((values // common).tolist(), (den // common).tolist())
-        ]
-        total = str(Fraction(sum(d.numerators.tolist()), den))
-    else:
-        floats = [x / den for x in values.tolist()]
-        strings = list(map(repr, floats))
-        total = repr(sum(floats[i] for i in inverse))
-    vertices, slots = np.unique(d.triangles, return_inverse=True)
-    labels = list(map(str, vertices.tolist()))
-    lines = [f"# triangles={len(inverse)} total={total}"]
-    lines += [
-        f"{labels[a]} {labels[b]} {labels[c]} {strings[i]}"
-        for (a, b, c), i in zip(slots.reshape(-1, 3).tolist(), inverse)
-    ]
-    return "\n".join(lines) + "\n"
-
-
-# Python's default limit on the digits of an int made from a string.
-MAX_EXPONENT = 4300
-
-
-def parse_fraction(text):
-    """Fraction(text), but a decimal exponent beyond MAX_EXPONENT in magnitude
-    is a ValueError: Fraction("1e10000000") spends seconds on a 10**7-digit int."""
-    match = re.search(r"e[-+]?([\d_]+)\s*\Z", text, re.IGNORECASE)
-    digits = match[1].replace("_", "").lstrip("0") if match else ""
-    if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:
-        raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
-    return Fraction(text)
-
-
-def parse_decomposition(text):
-    """Read the decomposition text format, exactly; duplicate triangles are
-    kept as-is (the verifier sums them)."""
-    entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise InputFormatError(f"line {lineno}: expected 'u v w weight'")
-        try:
-            a, b, c = int(parts[0]), int(parts[1]), int(parts[2])
-            weight = parse_fraction(parts[3])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputFormatError(f"line {lineno}: {exc}") from exc
-        if not a < b < c:
-            raise InputFormatError(f"line {lineno}: vertices must be strictly increasing")
-        entries.append(((a, b, c), weight))
-    return Decomposition.from_entries(entries)
-
-
-def format_cut_certificate(cert):
-    header = (
-        f"# INFEASIBLE-BY-FLOW M={cert.required_flow} cut={cert.cut_capacity}"
-    )
-    return "\n".join([header] + [str(e) for e in cert.source_side_edges]) + "\n"

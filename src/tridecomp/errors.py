@@ -24,11 +24,9 @@ class GuardrailError(TridecompError):
 class LinkLimitError(GuardrailError):
     """Rooted-K4 link enumeration would emit more links than the configured cap."""
 
-    def __init__(self, limit, count=None):
+    def __init__(self, limit):
         self.limit = limit
-        self.count = count
-        suffix = f" (at least {count} found)" if count is not None else ""
-        super().__init__(f"rooted-K4 link count exceeds the cap of {limit}{suffix}")
+        super().__init__(f"rooted-K4 link count exceeds the cap of {limit}")
 
 
 class GraphSizeError(GuardrailError):

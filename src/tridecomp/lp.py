@@ -68,10 +68,9 @@ from operator import mul
 
 import numpy as np
 
-from .decompose import Decomposition, _int_dtype
 from .errors import LPSizeError
 from .graph import enumerate_triangles, triangle_edge_ids
-from .verify import verify
+from .verify import Decomposition, _int_dtype, verify
 
 DEFAULT_MAX_LP_TRIANGLES = 5000
 

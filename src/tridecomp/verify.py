@@ -1,23 +1,94 @@
-"""Independent validation of claimed fractional triangle decompositions.
+"""Certificates and their independent checker.
+
+Every weight set (from the flow, the LP oracle or a file) is one
+`Decomposition`: integer numerators over one denominator, int64 when a bound
+proven from the inputs keeps every value and partial sum below 2**62
+(`_int_dtype`), object arrays of Python ints otherwise. A flow that falls
+short yields a `CutCertificate`. This module also holds both text formats and
+the decomposition parser, and imports no solver.
 
 The verifier recomputes everything from the host graph and the claimed
-triangles and weights, never from decomposer state. The weights are integer
-numerators over one denominator (a list of pairs is first brought exactly
-over the lcm), and an edge passes when its integer sum equals that
-denominator. Duplicate entries are summed; entries that are not triangles of
-the graph are counted and left out of the sums. Float mode is a tolerance on
-the same exact numbers, not a second code path.
+triangles and weights, never from decomposer state. A list of pairs is first
+brought exactly over the lcm of its denominators, and an edge passes when its
+integer sum equals that denominator. Duplicate entries are summed; entries
+that are not triangles of the graph are counted and left out of the sums.
+Float mode is a tolerance on the same exact numbers, not a second code path.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .decompose import Decomposition, _int_dtype
+from .errors import InputFormatError
+
+# int64 arithmetic is used only where every value stays below this bound.
+_INT64_LIMIT = 1 << 62
+
+
+def _int_dtype(bound):
+    """int64 when no value or partial sum reaches `bound`, else Python ints."""
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+@dataclass(eq=False)
+class Decomposition:
+    """Triangle weights as integer numerators over one shared denominator.
+
+    Row i of `triangles`, an (t, 3) int array of rows a < b < c, has weight
+    numerators[i] / denominator, exactly: int64 behind a proven bound, else
+    Python ints. `solve`, `decompose` and `lp_feasible` return their rows in
+    lexicographic order; a parsed decomposition keeps its file's order and
+    any duplicate rows, which `verify` sums.
+    """
+
+    triangles: np.ndarray
+    numerators: np.ndarray
+    denominator: int
+    # Set by solve(): the flow value that was required and reached.
+    required_flow: Fraction | None = None
+
+    @classmethod
+    def from_entries(cls, entries):
+        """(triangle, weight) pairs over the lcm of the weight denominators;
+        Fraction(w) is exact for floats too. A triangle with a vertex id
+        outside [0, 2**63) becomes (-1, -1, -1), which is no graph's triangle.
+        """
+        rows, weights = [], []
+        for tri, w in entries:
+            fits = 0 <= min(tri) and max(tri) < 1 << 63
+            rows.append(tuple(tri) if fits else (-1, -1, -1))
+            weights.append(Fraction(w))
+        denominator = math.lcm(*(w.denominator for w in weights))
+        numerators = [w.numerator * (denominator // w.denominator) for w in weights]
+        dtype = _int_dtype(max(denominator, sum(map(abs, numerators))))
+        triangles = np.array(rows, np.int64).reshape(-1, 3)
+        return cls(triangles, np.array(numerators, dtype), denominator)
+
+    @property
+    def entries(self):
+        """(triangle, Fraction) pairs."""
+        d = self.denominator
+        weights = [Fraction(x, d) for x in self.numerators.tolist()]
+        return list(zip(map(tuple, self.triangles.tolist()), weights))
+
+
+@dataclass(frozen=True)
+class CutCertificate:
+    """Witness that the maximum flow falls short of the required value.
+
+    `source_side_edges` are the residual-graph edge ids whose network nodes
+    sit on the supersource side of a minimum cut of capacity < required_flow.
+    """
+
+    source_side_edges: list
+    cut_capacity: Fraction
+    required_flow: Fraction
+
 
 FLOAT_EDGE_TOLERANCE = 1e-9
 FLOAT_WEIGHT_FLOOR = -1e-12
@@ -90,3 +161,74 @@ def verify(g, decomposition, mode="exact"):
         negative_weights=negatives,
         invalid_triangles=invalid,
     )
+
+
+def format_decomposition(d, mode="exact"):
+    """Header, then one `a b c weight` line per row: reduced `p/q` weights,
+    or, in float mode, correctly rounded floats summing left to right to the
+    total. Each distinct weight and vertex is formatted once."""
+    values, inverse = np.unique(d.numerators, return_inverse=True)
+    inverse = inverse.ravel().tolist()
+    den = d.denominator
+    if mode == "exact":
+        common = np.gcd(values, den)
+        strings = [
+            str(p) if q == 1 else f"{p}/{q}"
+            for p, q in zip((values // common).tolist(), (den // common).tolist())
+        ]
+        total = str(Fraction(sum(d.numerators.tolist()), den))
+    else:
+        floats = [x / den for x in values.tolist()]
+        strings = list(map(repr, floats))
+        total = repr(sum(floats[i] for i in inverse))
+    vertices, slots = np.unique(d.triangles, return_inverse=True)
+    labels = list(map(str, vertices.tolist()))
+    lines = [f"# triangles={len(inverse)} total={total}"]
+    lines += [
+        f"{labels[a]} {labels[b]} {labels[c]} {strings[i]}"
+        for (a, b, c), i in zip(slots.reshape(-1, 3).tolist(), inverse)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# Python's default limit on the digits of an int made from a string.
+MAX_EXPONENT = 4300
+
+
+def parse_fraction(text):
+    """Fraction(text), but a decimal exponent beyond MAX_EXPONENT in magnitude
+    is a ValueError: Fraction("1e10000000") spends seconds on a 10**7-digit int."""
+    match = re.search(r"e[-+]?([\d_]+)\s*\Z", text, re.IGNORECASE)
+    digits = match[1].replace("_", "").lstrip("0") if match else ""
+    if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:
+        raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
+    return Fraction(text)
+
+
+def parse_decomposition(text):
+    """Read the decomposition text format, exactly; duplicate triangles are
+    kept as-is (the verifier sums them)."""
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise InputFormatError(f"line {lineno}: expected 'u v w weight'")
+        try:
+            a, b, c = int(parts[0]), int(parts[1]), int(parts[2])
+            weight = parse_fraction(parts[3])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputFormatError(f"line {lineno}: {exc}") from exc
+        if not a < b < c:
+            raise InputFormatError(f"line {lineno}: vertices must be strictly increasing")
+        entries.append(((a, b, c), weight))
+    return Decomposition.from_entries(entries)
+
+
+def format_cut_certificate(cert):
+    header = (
+        f"# INFEASIBLE-BY-FLOW M={cert.required_flow} cut={cert.cut_capacity}"
+    )
+    return "\n".join([header] + [str(e) for e in cert.source_side_edges]) + "\n"

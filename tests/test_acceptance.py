@@ -19,14 +19,7 @@ import numpy as np
 import pytest
 
 from tridecomp.cli import main
-from tridecomp.decompose import (
-    CutCertificate,
-    Decomposition,
-    build_network,
-    decompose,
-    initial_weight,
-    solve,
-)
+from tridecomp.decompose import build_network, decompose, initial_weight, solve
 from tridecomp.errors import EdgeInNoTriangleError
 from tridecomp.graph import (
     degree_stats,
@@ -38,7 +31,7 @@ from tridecomp.instances import GenSpec, generate, write_edge_list
 from tridecomp.lp import lp_feasible
 from tridecomp.maxflow import flow_violation, max_flow
 from tridecomp.peeling import peel_heavy_triangles
-from tridecomp.verify import verify
+from tridecomp.verify import CutCertificate, Decomposition, verify
 
 from conftest import (
     brute_min_cut,

@@ -13,15 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tridecomp.decompose import (
-    CutCertificate,
-    Decomposition,
     apply_transfer,
     build_network,
     decompose,
-    format_cut_certificate,
-    format_decomposition,
     initial_weight,
-    parse_decomposition,
     solve,
 )
 from tridecomp.errors import (
@@ -38,7 +33,14 @@ from tridecomp.graph import (
     triangles_per_edge,
 )
 from tridecomp.maxflow import max_flow
-from tridecomp.verify import verify
+from tridecomp.verify import (
+    CutCertificate,
+    Decomposition,
+    format_cut_certificate,
+    format_decomposition,
+    parse_decomposition,
+    verify,
+)
 
 from conftest import (
     brute_edge_triangle_count,
@@ -289,7 +291,8 @@ class TestSolve:
         start = w * 2 * net.denominator
         assert start.denominator == 1
         bound = int(start) + 3 * (g.n - 3) * net.link_capacity
-        module = importlib.import_module("tridecomp.decompose")
+        # The package attribute `tridecomp.verify` is the function.
+        module = importlib.import_module("tridecomp.verify")
         monkeypatch.setattr(module, "_INT64_LIMIT", bound)
         wide = solve(g, deficiency)
         assert wide.numerators.dtype == object
@@ -332,7 +335,7 @@ def reference_solve(g, deficiency):
 def python_int_solve(g, deficiency):
     """solve with the int64 guard tripped, so every numerator is a Python int."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("tridecomp.decompose"), "_INT64_LIMIT", 0)
+        mp.setattr(importlib.import_module("tridecomp.verify"), "_INT64_LIMIT", 0)
         return solve(g, deficiency)
 
 

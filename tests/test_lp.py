@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tridecomp import lp
-from tridecomp.decompose import CutCertificate, decompose
+from tridecomp.decompose import decompose
 from tridecomp.errors import LPSizeError
 from tridecomp.graph import enumerate_triangles, triangle_edge_ids
 from tridecomp.instances import GenSpec, Xorshift64Star, generate
 from tridecomp.lp import lp_feasible
-from tridecomp.verify import verify
+from tridecomp.verify import CutCertificate, verify
 
 from conftest import (
     complete_graph,

@@ -10,8 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tridecomp.decompose import Decomposition
-from tridecomp.verify import FLOAT_EDGE_TOLERANCE, FLOAT_WEIGHT_FLOOR, verify
+from tridecomp.verify import (
+    FLOAT_EDGE_TOLERANCE,
+    FLOAT_WEIGHT_FLOOR,
+    Decomposition,
+    parse_decomposition,
+    verify,
+)
 
 from conftest import brute_triangles, complete_graph, edge_weight_sums, make_graph
 from test_graph import graphs_strategy
@@ -69,6 +74,15 @@ class TestExactMode:
     def test_duplicates_summed(self, k4):
         entries = uniform_k4_entries(Fraction(1, 4)) + uniform_k4_entries(Fraction(1, 4))
         assert verify(k4, entries).ok
+
+    def test_parsed_rows_keep_file_order(self, k4):
+        # Unsorted rows and a duplicate of (0, 1, 2): parsing keeps both in
+        # file order, and verify sums the two quarters.
+        d = parse_decomposition("1 2 3 1/2\n0 2 3 1/2\n0 1 2 1/4\n0 1 3 1/2\n0 1 2 1/4\n")
+        assert d.triangles.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 2], [0, 1, 3], [0, 1, 2]]
+        assert d.numerators.tolist() == [2, 2, 1, 2, 1]
+        assert d.denominator == 4
+        assert verify(k4, d).ok
 
     def test_order_independent(self, k5):
         from tridecomp.decompose import decompose
@@ -182,9 +196,12 @@ class TestDifferential:
     @pytest.mark.parametrize("limit", [0, 1 << 62])
     def test_int64_and_object_sums_agree(self, monkeypatch, k5, limit):
         # The same valid decomposition over int64 and over Python-int sums.
-        module = importlib.import_module("tridecomp.decompose")
+        # The package attribute `tridecomp.verify` is the function.
+        module = importlib.import_module("tridecomp.verify")
         monkeypatch.setattr(module, "_INT64_LIMIT", limit)
         entries = [(tri, Fraction(1, 3)) for tri in brute_triangles(k5)]
+        expected = object if limit == 0 else np.int64
+        assert Decomposition.from_entries(entries).numerators.dtype == expected
         assert verify(k5, entries).ok
         assert not verify(k5, entries[1:]).ok
 
