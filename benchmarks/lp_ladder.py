@@ -5,11 +5,13 @@
 
 Prints one JSON line per instance: its sizes m and t, |S| (the triangle
 columns of the float basis), the float pivots, and the seconds of
-`lp._float_basis`, of `lp._solve_on_columns` on its columns, of the exact
-simplex `lp._phase_one` and of the whole `lp_feasible` call (each the median
-of up to 7 calls within about 1 s), with whether the exact simplex fallback
-ran and the verdict. The package is imported from `src/` of the checkout this
-file lives in.
+`lp._float_basis`, of `lp._solve_on_columns` on its columns (the
+float-guided exact solve), of the exact simplex `lp._phase_one` and of the
+whole `lp_feasible` call, with whether the exact simplex fallback ran and the
+verdict. Each time is the median of as many calls as reach both 7 calls and
+0.2 s, so rows of a few milliseconds take dozens of calls; the whole ladder
+takes about 3 minutes on two shared vCPUs. The package is imported from
+`src/` of the checkout this file lives in.
 
 The instances are random-min-degree graphs, which are feasible, and C4
 blow-ups with a clique in each part, which are infeasible. The exact simplex
@@ -52,18 +54,19 @@ LADDER = (
 EXACT_MAX_N = 24
 
 # A single call of a few milliseconds is mostly noise on a shared machine, so
-# small instances are timed as the median of several calls; a call of seconds
-# runs once.
+# every row is the median of at least REPEATS calls, and of as many more as
+# fill MIN_TIME_S, which resolves rows of a few milliseconds.
 REPEATS = 7
-BUDGET_S = 1.0
+MIN_TIME_S = 0.2
 
 
 def _timed(f, *args):
-    """The result of `f(*args)` and the median seconds of up to `REPEATS` calls,
-    stopping once the calls have taken `BUDGET_S` in all."""
+    """The result of `f(*args)` and the median seconds of its calls, repeated
+    until there are at least `REPEATS` of them and they took `MIN_TIME_S` in
+    all."""
     times = []
     spent = 0.0
-    while len(times) < REPEATS and spent < BUDGET_S:
+    while len(times) < REPEATS or spent < MIN_TIME_S:
         start = time.perf_counter()
         result = f(*args)
         times.append(time.perf_counter() - start)

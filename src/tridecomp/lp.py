@@ -28,17 +28,17 @@ them.
 Fast path. `_float_basis` runs the same simplex in float64, with the same
 pivot rules and ties decided within `_TOL`, and returns the triangle columns
 S of its final basis. `_solve_on_columns` then solves A_S x = 1 exactly on
-those columns alone by Dixon's p-adic lifting: one forward elimination mod
-the prime `_PRIME` picks |S| rows of A_S and proves its full column rank,
-triangular solves mod p lift x digit by digit, and rational reconstruction
-over one common denominator proposes x after each step, accepted only once
-A_S x = 1 holds in integers. The result is a witness only if x >= 0 and
-`verify` accepts it. In every other case (a float objective above `_TOL`,
-`_FLOAT_PIVOTS` pivots used up, a rank deficit mod p, an inconsistent or
-negative solve) the exact simplex runs from scratch, so an INFEASIBLE verdict
-comes only from exact arithmetic. When the float run ends on the exact run's
-final basis, both give the same witness: B x_B = 1 with every basic
-artificial at 0 leaves A_S x_S = 1, whose solution is unique.
+those columns alone: a float inverse of G = A_S^T A_S proposes, an exact
+integer bound on its residual proves full column rank, lifting steps add
+bits of x from exact integer residuals, and x, reconstructed over one common
+denominator, counts once A_S x = 1 holds in integers. It is a witness only
+if x >= 0 and `verify` accepts it. In every other case (a float objective
+above `_TOL`, `_FLOAT_PIVOTS` pivots used up, a refused rank proof, a tripped
+overflow guard, an inconsistent or negative solve) the exact simplex runs
+from scratch, so an INFEASIBLE verdict comes only from exact arithmetic.
+When the float run ends on the exact run's final basis, both give the same
+witness: B x_B = 1 with every basic artificial at 0 leaves A_S x_S = 1,
+whose solution is unique.
 
 Pivoting. The entering column is the one with the most negative objective-row
 entry (the largest-coefficient rule), ties going to the smallest index; the
@@ -62,15 +62,15 @@ every stretch ends, and so does the whole run.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
 from .errors import LPSizeError
 from .graph import enumerate_triangles, triangle_edge_ids
-from .verify import Decomposition, _int_dtype, verify
+from .verify import _INT64_LIMIT, Decomposition, _int_dtype, verify
 
 DEFAULT_MAX_LP_TRIANGLES = 5000
 
@@ -88,8 +88,9 @@ _STALL_LIMIT = 64
 _TOL = 1e-9
 _FLOAT_PIVOTS = 20_000
 
-# The prime of the exact solve's modular arithmetic, 2^25 - 39.
-_PRIME = 33_554_393
+# Float64 holds every integer below 2^53, so integer sums stay exact below
+# this bound (the exact solve's rank proof).
+_FLOAT_EXACT = 1 << 52
 
 
 @dataclass(frozen=True)
@@ -131,8 +132,9 @@ def _pivot(nums, dens, r, col):
 def _promoted(nums, dens, col):
     """The transform and the entering column as Python ints once an entry of
     any of them reaches `_NUMPY_GUARD`."""
+    # max and -min read the arrays without the temporary np.abs would build.
     if nums.dtype != object and (
-        max(np.abs(nums).max(), dens.max(), np.abs(col).max()) >= _NUMPY_GUARD
+        max(nums.max(), -nums.min(), dens.max(), col.max(), -col.min()) >= _NUMPY_GUARD
     ):
         return nums.astype(object), dens.astype(object), col.astype(object)
     return nums, dens, col
@@ -183,78 +185,46 @@ def _float_basis(ids, m):
     return None
 
 
-def _eliminate(a):
-    """Forward elimination of the (m, k) int64 0/1 matrix `a` mod `_PRIME`,
-    in place. Column j pivots on the first row not pivoted yet whose entry is
-    nonzero; returns these rows in column order, or None when some column has
-    none, that is when `a` has rank below k mod p. Afterwards row pivots[j]
-    holds U's row j from column j on and, before it, L's multipliers: a[pivots]
-    packs L U = A_R mod p, A_R being the pivot rows of the input and L unit
-    lower triangular."""
-    m, k = a.shape
-    free = np.ones(m, np.bool_)
-    pivots = []
-    for j in range(k):
-        rows = (a[:, j] * free).nonzero()[0]
-        if rows.size == 0:
-            return None
-        r = int(rows[0])
-        free[r] = False
-        pivots.append(r)
-        if rows.size > 1:
-            rows = rows[1:]
-            block = a[rows, j:]
-            # Entries are residues below p < 2^25, so l * a[r] < 2^50 and the
-            # difference stays far inside int64.
-            l = block[:, 0] * pow(int(a[r, j]), -1, _PRIME) % _PRIME
-            block[:, 1:] -= l[:, None] * a[r, j + 1 :]
-            block[:, 1:] %= _PRIME
-            block[:, 0] = l
-            a[rows, j:] = block
-    return pivots
+def _inverse_residual(gram, scaled, shift):
+    """|2^shift I - G R'| for the integer matrix R' = `scaled`, exact in
+    float64; None unless 2^shift and every column sum of |R'| times max G
+    are below 2^52, which keeps every product, partial sum and difference an
+    integer below 2^53, whatever order BLAS sums in. G is non-negative."""
+    if not (shift < 52 and np.abs(scaled).sum(axis=0).max() * gram.max() < _FLOAT_EXACT):
+        return None
+    residual = -(gram @ scaled)
+    residual.flat[:: residual.shape[0] + 1] += 2.0**shift
+    return np.abs(residual)
 
 
-def _sparse_rows(a):
-    """Each row of the 2-D array `a` as (column indices, values), Python lists."""
-    rows, cols = np.nonzero(a)
-    ends = np.cumsum(np.bincount(rows, minlength=a.shape[0])).tolist()
-    cols, vals = cols.tolist(), a[rows, cols].tolist()
-    return [(cols[s:e], vals[s:e]) for s, e in zip([0] + ends, ends)]
+def _precision_bits(k, error):
+    """Bits of D after which `_reconstruct` recovers x from N / D when
+    A_S x = 1 and D |x - N / D| <= error. A_S has k independent rows A_R, and
+    every column holds three ones, so by Hadamard's inequality the common
+    denominator of x = A_R^-1 1 divides det A_R, of size at most
+    H = sqrt(k 3^(k-1)); D > k 3^k error^2 keeps H and H error within
+    `_reconstruct`'s bound B."""
+    return (k * 3**k * error * error).bit_length()
 
 
-def _dot(row, y):
-    """The sum of values[i] * y[columns[i]] over a sparse row (columns, values)."""
-    cols, vals = row
-    return sum(map(mul, vals, map(y.__getitem__, cols)))
-
-
-def _lift_steps(k):
-    """The lifting steps s with p^s > k 3^k. Every column of A_R holds at most
-    three ones, so by Hadamard's inequality |det A_R| and each numerator of
-    x = A_R^-1 1 by Cramer's rule are at most H = sqrt(k 3^(k-1)); as
-    k 3^k > 2 H^2, reconstruction mod p^s recovers x."""
-    steps, power, bound = 1, _PRIME, k * 3**k
-    while power <= bound:
-        steps, power = steps + 1, power * _PRIME
-    return steps
-
-
-def _reconstruct(residues, modulus):
-    """Rationals congruent to `residues` mod `modulus` over one common
-    denominator, as (numerators, denominator); None once that denominator
-    would pass B = isqrt(modulus / 2). Each residue is first scaled by the
-    denominator found so far, so it reads as an integer within B unless it
-    adds a factor, which the half-extended Euclid finds (Wang 1981). As
-    2 B^2 < modulus, a fraction with numerator and denominator within B is the
-    only one for its residue, so past `_lift_steps` the answer is x itself."""
-    bound = math.isqrt(modulus // 2)
-    numerators, den = [], 1
-    for v in residues:
-        v = v * den % modulus
-        if modulus - v <= bound:
-            v -= modulus
-        elif v > bound:
-            r0, r1, s0, s1 = modulus, v, 0, 1
+def _reconstruct(numerators, shift):
+    """Rationals near numerators / 2^shift over one common denominator, as
+    (numerators, denominator); None once that denominator would pass
+    B = isqrt((2^shift - 1) / 2). Each numerator, scaled by the denominator so
+    far, is t 2^shift + r: within B of a multiple of 2^shift it reads as an
+    integer, else the half-extended Euclid on (2^shift, r) stops at the first
+    remainder r_1 <= B, where s r = u 2^shift + r_1, and t + u / s adds the
+    factor s (Wang 1981). As 2 B^2 < 2^shift that fraction is the only one
+    this close, so past `_precision_bits` the answer is x itself."""
+    modulus = 1 << shift
+    bound = math.isqrt((modulus - 1) // 2)
+    values, den = [], 1
+    for n in numerators:
+        t, r = divmod(n * den, modulus)
+        if modulus - r <= bound:
+            t += 1
+        elif r > bound:
+            r0, r1, s0, s1 = modulus, r, 0, 1
             while r1 > bound:
                 q = r0 // r1
                 r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
@@ -262,56 +232,84 @@ def _reconstruct(residues, modulus):
                 r1, s1 = -r1, -s1
             if s1 * den > bound:
                 return None
-            numerators = [u * s1 for u in numerators]
+            values = [v * s1 for v in values]
             den *= s1
-            v = r1
-        numerators.append(v)
-    return numerators, den
+            t = t * s1 + (s1 * r - r1) // modulus
+        values.append(t)
+    return values, den
 
 
 def _solve_on_columns(ids, m, columns):
     """Exact x with A_S x = 1 on the triangle columns S, as (numerators,
-    denominators); None when A_S is singular, the system is inconsistent or
-    some x_j < 0. Dixon's p-adic lifting (Numer. Math. 1982): `_eliminate`
-    picks k rows A_R with A_R invertible mod p, which proves A_S has full
-    column rank; each step solves A_R y = r mod p with the factors and sets
-    r <- (r - A_R y) / p, so that x = sum_i y_i p^i mod p^s after s steps."""
+    denominators); None when A_S is rank-deficient, the system is
+    inconsistent or some x_j < 0. Numeric-symbolic solve (Wan, J. Symbolic
+    Comput. 2006) of G x = A_S^T 1 = 3 1, G = A_S^T A_S, which float64 holds
+    exactly; floats only propose. R' = rint(2^s R), s = `shift`, for the
+    float inverse R of G: when F = 2^s I - G R', computed exactly, has
+    ||F||_inf < 2^s, then G R' is nonsingular, and so is G: A_S has full
+    column rank and x is unique. Each lifting step sets
+    y = rint(2^(sigma - s) R' r), r <- 2^sigma r - G y and
+    N <- 2^sigma N + y, keeping D (x - N / D) = G^-1 r over D = 2^bits.
+    The new r is 2^(sigma - s) F r plus G times y's rounding, so sigma with
+    2^sigma ||F||_inf < 2^(s - 1) at least halves the residual carried
+    over. N / D gives a candidate after steps 1, 2, 4, ... and once D passes
+    `_precision_bits`, with ||G^-1||_inf <= ||R'||_inf / (2^s - ||F||_inf);
+    it counts only once A_S x = 1 holds in integers."""
     k = len(columns)
-    a = np.zeros((m, k), np.int64)
-    a[ids[columns], np.arange(k)[:, None]] = 1
-    edge_columns = [cols for cols, _ in _sparse_rows(a)]
-    pivots = _eliminate(a)
-    if pivots is None:
+    edges = ids[columns]
+    a = np.zeros((m, k))
+    a[edges, np.arange(k)[:, None]] = 1
+    # Row j of G sums A_S's rows at j's three edges. A gather, because numpy
+    # hands a.T @ a to BLAS syrk, whose threads stalled for milliseconds a
+    # call on a busy machine.
+    gram = a[edges[:, 0]] + a[edges[:, 1]] + a[edges[:, 2]]
+    try:
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
         return None
-    lu = a[pivots]
-    lower, upper = _sparse_rows(np.tril(lu, -1)), _sparse_rows(np.triu(lu, 1))
-    p = _PRIME
-    inverse_diagonal = [pow(d, -1, p) for d in np.diagonal(lu).tolist()]
-    # Python ints from here on; each r_i stays within [-k, 1], since A_R is
-    # 0/1 with at most k ones a row and y < p.
-    r, x, modulus = [1] * k, [0] * k, 1
-    for _ in range(_lift_steps(k)):
-        y = []
-        for r_i, row in zip(r, lower):
-            y.append((r_i - _dot(row, y)) % p)
-        for i in reversed(range(k)):
-            y[i] = (y[i] - _dot(upper[i], y)) * inverse_diagonal[i] % p
-        r = [(r_i - sum(map(y.__getitem__, edge_columns[e]))) // p for r_i, e in zip(r, pivots)]
-        x = [x_j + y_j * modulus for x_j, y_j in zip(x, y)]
-        modulus *= p
-        found = _reconstruct(x, modulus)
-        if found is None:
-            continue
-        numerators, den = found
-        sums = [sum(map(numerators.__getitem__, cols)) for cols in edge_columns]
-        if any(sums[e] != den for e in pivots):
-            continue
-        # A_R x = 1 holds exactly, and A_R is nonsingular: x is the only
-        # candidate, so A_S x = 1 and x >= 0 decide.
-        if any(s != den for s in sums) or min(numerators, default=0) < 0:
+    # 2^shift times each column sum of |R| times max G is below 2^51, a bit
+    # inside `_inverse_residual`'s bound.
+    shift = 51 - math.frexp(np.abs(inverse).sum(axis=0).max() * gram.max())[1]
+    scaled = np.rint(np.ldexp(inverse, shift))
+    residual = _inverse_residual(gram, scaled, shift)
+    if residual is None:
+        return None
+    norm = residual.sum(axis=1).max()
+    # sigma >= 1 means ||F||_inf < 2^(s - 2), which is the rank proof too.
+    sigma = shift - 1 - math.frexp(norm)[1]
+    if sigma < 1:
+        return None
+    inverse_norm = np.abs(scaled).sum(axis=1).max() / (2.0**shift - norm)
+    approximate = np.ldexp(scaled, sigma - shift)
+    gram = gram.astype(np.int64)
+    gram_norm = int(gram.sum(axis=1).max())
+    r = np.full(k, 3, np.int64)
+    numerators, bits = [0] * k, 0
+    for count in itertools.count(1):
+        y = np.rint(approximate @ r)
+        # Every value below, G y's partial sums included, stays within
+        # `_INT64_LIMIT`.
+        if not np.abs(y).max() * gram_norm + (int(np.abs(r).max()) << sigma) < _INT64_LIMIT:
             return None
-        return np.array(numerators, object), np.full(k, den, object)
-    return None
+        y = y.astype(np.int64)
+        r = (r << sigma) - gram @ y
+        numerators = [(n << sigma) + v for n, v in zip(numerators, y.tolist())]
+        bits += sigma
+        error = int(inverse_norm * int(np.abs(r).max())) + 1
+        last = bits >= _precision_bits(k, error)
+        if last or count & (count - 1) == 0:
+            found = _reconstruct(numerators, bits)
+            if found is not None:
+                x, den = found
+                sums = np.zeros(m, object)
+                np.add.at(sums, edges, np.array(x, object)[:, None])
+                if (sums == den).all():
+                    # A_S has full column rank, so x is the only solution.
+                    if min(x) < 0:
+                        return None
+                    return np.array(x, object), np.full(k, den, object)
+        if last:
+            return None
 
 
 def _phase_one(ids, m):

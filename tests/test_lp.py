@@ -2,8 +2,10 @@
 and the float-guided path against the exact simplex."""
 
 import functools
+import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 import pytest
@@ -653,6 +655,17 @@ class TestRevisedExactPhase:
         small[0] = big
         assert [a.dtype for a in lp._promoted(nums, dens, small)] == [np.dtype(np.int64)] * 3
 
+    def test_guard_reads_negative_entries(self):
+        nums = lp._start_transform(3, np.int64)
+        dens = np.ones(4, np.int64)
+        column = nums[:, 0].copy()
+        for array in (nums, column):
+            array[1] = -lp._NUMPY_GUARD
+            promoted = lp._promoted(nums, dens, column)
+            assert [a.dtype for a in promoted] == [np.dtype(object)] * 3
+            array[1] = 1 - lp._NUMPY_GUARD
+            assert lp._promoted(nums, dens, column)[0].dtype == np.int64
+
 
 class TestLiftedSolve:
     @settings(max_examples=40, deadline=None)
@@ -686,16 +699,35 @@ class TestLiftedSolve:
 
     def test_reconstruct_round_trip(self):
         values = [Fraction(3, 7), Fraction(-5, 14), Fraction(0), Fraction(2), Fraction(1, 3)]
-        modulus = lp._PRIME**2
-        residues = [v.numerator * pow(v.denominator, -1, modulus) % modulus for v in values]
-        numerators, den = lp._reconstruct(residues, modulus)
+        shift = 40
+        numerators = [round(v * 2**shift) for v in values]
+        # An approximation one unit off still reconstructs.
+        numerators[1] += 1
+        found, den = lp._reconstruct(numerators, shift)
         assert den == 42
-        assert [Fraction(a, den) for a in numerators] == values
+        assert [Fraction(a, den) for a in found] == values
 
     @pytest.mark.parametrize("k", [1, 20, 84, 368])
     def test_lift_steps_reach_the_bound(self, k):
-        steps = lp._lift_steps(k)
-        assert lp._PRIME**steps > k * 3**k >= lp._PRIME ** (steps - 1)
+        # The lifting steps stop once D = 2^bits passes k 3^k error^2; there
+        # `_reconstruct`'s bound B covers H = sqrt(k 3^(k-1)) times the error.
+        for error in (1, 7, 1 << 20):
+            bits = lp._precision_bits(k, error)
+            assert 2**bits > k * 3**k * error**2 >= 2 ** (bits - 1)
+            assert math.isqrt((2**bits - 1) // 2) ** 2 >= k * 3 ** (k - 1) * error**2
+
+
+def _gram(g, columns):
+    """G = A_S^T A_S in float64."""
+    ids = triangle_edge_ids(g, enumerate_triangles(g))
+    a = np.zeros((g.m, len(columns)))
+    a[ids[columns], np.arange(len(columns))[:, None]] = 1
+    return a.T @ a
+
+
+def _float_columns(g):
+    ids = triangle_edge_ids(g, enumerate_triangles(g))
+    return ids, lp._float_basis(ids, g.m)
 
 
 class TestLiftFaults:
@@ -710,56 +742,291 @@ class TestLiftFaults:
         _assert_same_verdict(g, verdict, exact)
         assert verdict.decomposition.entries == exact.decomposition.entries
 
-    def test_singular_mod_p(self, monkeypatch):
+    def test_refused_rank_proof(self, monkeypatch):
+        # Three times the inverse leaves ||2^s I - G R'|| near 2^(s+1).
         g = _rmd14(0)
-        ids = triangle_edge_ids(g, enumerate_triangles(g))
-        columns = lp._float_basis(ids, g.m)
-        monkeypatch.setattr(lp, "_PRIME", 2)
-        a = np.zeros((g.m, len(columns)), np.int64)
-        a[ids[columns], np.arange(len(columns))[:, None]] = 1
-        assert lp._eliminate(a) is None
+        ids, columns = _float_columns(g)
+        inverse = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: 3 * inverse(a))
+        assert lp._solve_on_columns(ids, g.m, columns) is None
         self._run(monkeypatch, g)
 
+    def test_rank_proof_needs_exact_floats(self):
+        # The same proof, scaled by 2^t, is refused once a column sum of
+        # |R'| times max G reaches 2^52, where float64 sums may round.
+        g = _rmd14(0)
+        gram = _gram(g, _float_columns(g)[1])
+        shift = 30
+        scaled = np.rint(np.ldexp(np.linalg.inv(gram), shift))
+        width = np.abs(scaled).sum(axis=0).max() * gram.max()
+        t = 52 - math.frexp(width)[1]
+        assert shift + t + 1 < 52
+        residual = lp._inverse_residual(gram, scaled * 2**t, shift + t)
+        assert residual is not None and residual.sum(axis=1).max() < 2 ** (shift + t)
+        assert lp._inverse_residual(gram, scaled * 2 ** (t + 1), shift + t + 1) is None
+
     def test_lift_capped_at_one_step(self, monkeypatch):
-        # This basis needs a second step: its denominator exceeds sqrt(p / 2).
-        g = _rmd14(2)
-        ids = triangle_edge_ids(g, enumerate_triangles(g))
-        columns = lp._float_basis(ids, g.m)
+        # This basis needs a second step: its common denominator has 19 bits,
+        # against about 34 bits a step.
+        g = generate(GenSpec("random-min-degree", n=14, fraction=Fraction(9, 10), seed=0))
+        ids, columns = _float_columns(g)
         assert lp._solve_on_columns(ids, g.m, columns) is not None
-        monkeypatch.setattr(lp, "_lift_steps", lambda k: 1)
+        monkeypatch.setattr(lp, "_precision_bits", lambda k, error: 1)
         assert lp._solve_on_columns(ids, g.m, columns) is None
         self._run(monkeypatch, g)
 
     def test_false_candidate_does_not_end_the_lift(self, monkeypatch):
-        # A candidate that fails A_R x = 1 came from too few digits: lifting
+        # A candidate that fails A_S x = 1 came from too few bits: lifting
         # goes on and finds x.
         g = _rmd14(0)
-        ids = triangle_edge_ids(g, enumerate_triangles(g))
-        columns = lp._float_basis(ids, g.m)
+        ids, columns = _float_columns(g)
         expected = _values(columns, lp._solve_on_columns(ids, g.m, columns))
         reconstruct = lp._reconstruct
-        moduli = []
+        shifts = []
 
-        def zero_first(residues, modulus):
-            moduli.append(modulus)
-            return ([0] * len(residues), 1) if len(moduli) == 1 else reconstruct(residues, modulus)
+        def zero_first(numerators, shift):
+            shifts.append(shift)
+            return ([0] * len(numerators), 1) if len(shifts) == 1 else reconstruct(numerators, shift)
 
         monkeypatch.setattr(lp, "_reconstruct", zero_first)
         assert _values(columns, lp._solve_on_columns(ids, g.m, columns)) == expected
-        assert moduli == [lp._PRIME, lp._PRIME**2]
+        assert len(shifts) == 2 and shifts[1] == 2 * shifts[0]
+
+    def test_last_step_reconstructs(self, monkeypatch):
+        # Steps 1 and 2 are too few here, and the bound is reached at step 3,
+        # off the doubling schedule: that step still proposes x.
+        g = generate(GenSpec("random-min-degree", n=20, fraction=Fraction(4, 5), seed=0))
+        ids, columns = _float_columns(g)
+        reconstruct = lp._reconstruct
+        shifts = []
+        monkeypatch.setattr(lp, "_reconstruct", lambda n, s: shifts.append(s) or reconstruct(n, s))
+        expected = _values(columns, lp._solve_on_columns(ids, g.m, columns))
+        sigma = shifts[0]
+        assert shifts == [sigma, 2 * sigma, 4 * sigma]
+        shifts.clear()
+        monkeypatch.setattr(lp, "_precision_bits", lambda k, error: 2 * sigma + 1)
+        assert _values(columns, lp._solve_on_columns(ids, g.m, columns)) == expected
+        assert shifts == [sigma, 2 * sigma, 3 * sigma]
+
+    def test_overflow_guard(self, monkeypatch):
+        # With the int64 limit at 2^30 the first step already trips the guard.
+        g = _rmd14(0)
+        ids, columns = _float_columns(g)
+        monkeypatch.setattr(lp, "_INT64_LIMIT", 1 << 30)
+        assert lp._solve_on_columns(ids, g.m, columns) is None
+        self._run(monkeypatch, g)
 
     def test_reconstruction_fails_the_check(self, monkeypatch):
         reconstruct = lp._reconstruct
 
-        def off_by_one(residues, modulus):
-            found = reconstruct(residues, modulus)
+        def off_by_one(numerators, shift):
+            found = reconstruct(numerators, shift)
             if found is None:
                 return None
-            numerators, den = found
-            return [numerators[0] + 1] + numerators[1:], den
+            values, den = found
+            return [values[0] + 1] + values[1:], den
 
         monkeypatch.setattr(lp, "_reconstruct", off_by_one)
         self._run(monkeypatch, _rmd14(1))
+
+
+# Dixon's p-adic solve, the exact solve `lp._solve_on_columns` had before
+# the float-guided lift: the reference it must match value for value.
+
+# The prime of the reference's modular arithmetic, 2^25 - 39.
+_PRIME = 33_554_393
+
+
+def _eliminate(a):
+    """Forward elimination of the (m, k) int64 0/1 matrix `a` mod `_PRIME`,
+    in place. Column j pivots on the first row not pivoted yet whose entry is
+    nonzero; returns these rows in column order, or None when some column has
+    none, that is when `a` has rank below k mod p. Afterwards row pivots[j]
+    holds U's row j from column j on and, before it, L's multipliers: a[pivots]
+    packs L U = A_R mod p, A_R being the pivot rows of the input and L unit
+    lower triangular."""
+    m, k = a.shape
+    free = np.ones(m, np.bool_)
+    pivots = []
+    for j in range(k):
+        rows = (a[:, j] * free).nonzero()[0]
+        if rows.size == 0:
+            return None
+        r = int(rows[0])
+        free[r] = False
+        pivots.append(r)
+        if rows.size > 1:
+            rows = rows[1:]
+            block = a[rows, j:]
+            # Entries are residues below p < 2^25, so l * a[r] < 2^50 and the
+            # difference stays far inside int64.
+            l = block[:, 0] * pow(int(a[r, j]), -1, _PRIME) % _PRIME
+            block[:, 1:] -= l[:, None] * a[r, j + 1 :]
+            block[:, 1:] %= _PRIME
+            block[:, 0] = l
+            a[rows, j:] = block
+    return pivots
+
+
+def _sparse_rows(a):
+    """Each row of the 2-D array `a` as (column indices, values), Python lists."""
+    rows, cols = np.nonzero(a)
+    ends = np.cumsum(np.bincount(rows, minlength=a.shape[0])).tolist()
+    cols, vals = cols.tolist(), a[rows, cols].tolist()
+    return [(cols[s:e], vals[s:e]) for s, e in zip([0] + ends, ends)]
+
+
+def _dot(row, y):
+    """The sum of values[i] * y[columns[i]] over a sparse row (columns, values)."""
+    cols, vals = row
+    return sum(map(mul, vals, map(y.__getitem__, cols)))
+
+
+def _lift_steps(k):
+    """The lifting steps s with p^s > k 3^k. Every column of A_R holds at most
+    three ones, so by Hadamard's inequality |det A_R| and each numerator of
+    x = A_R^-1 1 by Cramer's rule are at most H = sqrt(k 3^(k-1)); as
+    k 3^k > 2 H^2, reconstruction mod p^s recovers x."""
+    steps, power, bound = 1, _PRIME, k * 3**k
+    while power <= bound:
+        steps, power = steps + 1, power * _PRIME
+    return steps
+
+
+def _reconstruct(residues, modulus):
+    """Rationals congruent to `residues` mod `modulus` over one common
+    denominator, as (numerators, denominator); None once that denominator
+    would pass B = isqrt(modulus / 2). Each residue is first scaled by the
+    denominator found so far, so it reads as an integer within B unless it
+    adds a factor, which the half-extended Euclid finds (Wang 1981). As
+    2 B^2 < modulus, a fraction with numerator and denominator within B is the
+    only one for its residue, so past `_lift_steps` the answer is x itself."""
+    bound = math.isqrt(modulus // 2)
+    numerators, den = [], 1
+    for v in residues:
+        v = v * den % modulus
+        if modulus - v <= bound:
+            v -= modulus
+        elif v > bound:
+            r0, r1, s0, s1 = modulus, v, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if s1 < 0:
+                r1, s1 = -r1, -s1
+            if s1 * den > bound:
+                return None
+            numerators = [u * s1 for u in numerators]
+            den *= s1
+            v = r1
+        numerators.append(v)
+    return numerators, den
+
+
+def _dixon_solve(ids, m, columns):
+    """Exact x with A_S x = 1 on the triangle columns S, as (numerators,
+    denominators); None when A_S is singular, the system is inconsistent or
+    some x_j < 0. Dixon's p-adic lifting (Numer. Math. 1982): `_eliminate`
+    picks k rows A_R with A_R invertible mod p, which proves A_S has full
+    column rank; each step solves A_R y = r mod p with the factors and sets
+    r <- (r - A_R y) / p, so that x = sum_i y_i p^i mod p^s after s steps."""
+    k = len(columns)
+    a = np.zeros((m, k), np.int64)
+    a[ids[columns], np.arange(k)[:, None]] = 1
+    edge_columns = [cols for cols, _ in _sparse_rows(a)]
+    pivots = _eliminate(a)
+    if pivots is None:
+        return None
+    lu = a[pivots]
+    lower, upper = _sparse_rows(np.tril(lu, -1)), _sparse_rows(np.triu(lu, 1))
+    p = _PRIME
+    inverse_diagonal = [pow(d, -1, p) for d in np.diagonal(lu).tolist()]
+    # Python ints from here on; each r_i stays within [-k, 1], since A_R is
+    # 0/1 with at most k ones a row and y < p.
+    r, x, modulus = [1] * k, [0] * k, 1
+    for _ in range(_lift_steps(k)):
+        y = []
+        for r_i, row in zip(r, lower):
+            y.append((r_i - _dot(row, y)) % p)
+        for i in reversed(range(k)):
+            y[i] = (y[i] - _dot(upper[i], y)) * inverse_diagonal[i] % p
+        r = [(r_i - sum(map(y.__getitem__, edge_columns[e]))) // p for r_i, e in zip(r, pivots)]
+        x = [x_j + y_j * modulus for x_j, y_j in zip(x, y)]
+        modulus *= p
+        found = _reconstruct(x, modulus)
+        if found is None:
+            continue
+        numerators, den = found
+        sums = [sum(map(numerators.__getitem__, cols)) for cols in edge_columns]
+        if any(sums[e] != den for e in pivots):
+            continue
+        # A_R x = 1 holds exactly, and A_R is nonsingular: x is the only
+        # candidate, so A_S x = 1 and x >= 0 decide.
+        if any(s != den for s in sums) or min(numerators, default=0) < 0:
+            return None
+        return np.array(numerators, object), np.full(k, den, object)
+    return None
+
+
+def _assert_matches_dixon(g, columns):
+    ids = triangle_edge_ids(g, enumerate_triangles(g))
+    expected = _dixon_solve(ids, g.m, columns)
+    solved = lp._solve_on_columns(ids, g.m, columns)
+    if expected is None:
+        assert solved is None
+    else:
+        assert solved is not None
+        assert [a.tolist() for a in solved] == [a.tolist() for a in expected]
+
+
+def _simplex_columns(g):
+    """The triangle columns of the exact simplex's final basis, feasible or not."""
+    ids = triangle_edge_ids(g, enumerate_triangles(g))
+    basis, _, _ = lp._phase_one(ids, g.m)
+    return np.array(sorted(j for j in basis if j < ids.shape[0]))
+
+
+class TestDixonReference:
+    """The lifted solve returns the Dixon reference's numerators and
+    denominators, or None where it does."""
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_oracle_lp_instances(self, seed):
+        rng = Xorshift64Star(seed)
+        for _ in range(16):
+            g = _rmd14(rng.next_u64())
+            _assert_matches_dixon(g, _float_columns(g)[1])
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_rmd20(self, seed):
+        g = generate(GenSpec("random-min-degree", n=20, fraction=Fraction(4, 5), seed=seed))
+        _assert_matches_dixon(g, _float_columns(g)[1])
+
+    @pytest.mark.parametrize(
+        "g, triples",
+        [
+            (complete_graph(6), NEGATIVE_BASIS),
+            (complete_graph(5), [(0, 1, 2)]),
+            (complete_minus_edge(4, (2, 3)), [(0, 1, 2), (0, 1, 3)]),
+        ],
+    )
+    def test_fallback_bases(self, g, triples):
+        _assert_matches_dixon(g, _columns(g, triples))
+
+    def test_singular_basis(self):
+        _assert_matches_dixon(complete_graph(6), np.arange(20))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(graphs_strategy(max_n=7), dense_graphs()))
+    def test_random_graphs(self, g):
+        if g.m == 0 or enumerate_triangles(g).shape[0] == 0:
+            return
+        columns = _float_columns(g)[1]
+        if columns is not None:
+            _assert_matches_dixon(g, columns)
+        simplex = _simplex_columns(g)
+        if simplex.size:
+            _assert_matches_dixon(g, simplex)
 
 
 class TestAgreementWithFlow:
