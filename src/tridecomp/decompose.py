@@ -129,8 +129,6 @@ class FlowNetwork:
     """
 
     residual: Graph
-    uniform_weight: Fraction
-    deficiency: Fraction
     denominator: int
     link_capacity: int
     links: object
@@ -237,8 +235,6 @@ def build_network(residual, uniform_weight, deficiency, max_links=DEFAULT_MAX_LI
     links = enumerate_rooted_k4_links(residual, max_links, triangles)
     return FlowNetwork(
         residual=residual,
-        uniform_weight=uniform_weight,
-        deficiency=deficiency,
         denominator=denominator,
         link_capacity=link_capacity,
         links=links,

@@ -17,11 +17,11 @@ import numpy as np
 from . import kernels
 from .errors import GraphConstructionError, GraphSizeError, LinkLimitError
 
-# On the scipy flow path a one-shot CLI decompose peaks at about 110 bytes
-# per link above the 63 MB of a small run (K70 minus a Hamilton cycle: 314 MB
-# at 2.29M links; K100 minus one: 1.13 GB at 10.4M links), so a run at this
-# cap stays near 3.4 GB, under 4 GiB. The Python-int fallback needs about
-# 230 bytes a link (K70: 590 MB).
+# One-shot CLI decompose peaks about 80 bytes a link above the 63 MiB of a
+# small run on the scipy flow path (K70 minus a Hamilton cycle: 244 MiB at
+# 2.29M links; K100 minus one: 833 MiB at 10.4M), near 2.4 GiB at this cap.
+# The Python-int fallback takes 240-290 bytes a link (K70: 581 MiB; random-
+# min-degree n=70 at 9/10: 511 MiB at 1.61M links), about 8 GiB at the cap.
 DEFAULT_MAX_LINKS = 30_000_000
 
 # A Graph holds n x n bool and int32 matrices, 5 bytes per cell. 14 bytes per
@@ -57,6 +57,9 @@ class Graph:
         return int(self.edge_u.shape[0])
 
     def edge_id(self, u, v):
+        # A negative index would wrap around to the last rows of `eid`.
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise KeyError(f"({u},{v}) is not an edge")
         e = int(self.eid[u, v])
         if e < 0:
             raise KeyError(f"({u},{v}) is not an edge")

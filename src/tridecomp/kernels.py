@@ -14,7 +14,8 @@ m**2 < 2**31 and 8 beyond, until one sort puts the keys in canonical order.
 
 The flow kernel is Dinic over plain Python integers on a network in CSR
 order, so capacities of any magnitude stay exact; `maxflow.max_flow` runs it
-only on networks whose values scipy's int32 Dinic cannot be proven to hold.
+only on networks whose values scipy's int32 Dinic cannot be proven to hold,
+and derives the value and the cut from the per-slot flows it returns.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ def _dinic_python(num_nodes, source, sink, indptr, heads, reverse, residual):
     # Blocking-flow phases over CSR slots: slot p of row v runs v -> heads[p]
     # and reverse[p] is the slot of heads[p] -> v. `residual` starts as the
     # capacities and is mutated to the final residual.
-    total = 0
     level = [0] * num_nodes
     while True:
         for i in range(num_nodes):
@@ -133,7 +133,7 @@ def _dinic_python(num_nodes, source, sink, indptr, heads, reverse, residual):
                     level[w] = level[v] + 1
                     queue.append(w)
         if level[sink] < 0:
-            break
+            return
         iters = indptr[:num_nodes]
         while True:
             v = source
@@ -167,14 +167,11 @@ def _dinic_python(num_nodes, source, sink, indptr, heads, reverse, residual):
             for p in path:
                 residual[p] -= bottleneck
                 residual[reverse[p]] += bottleneck
-            total += bottleneck
-    reach = [lv >= 0 for lv in level]
-    return total, reach
 
 
 def max_flow_int(num_nodes, source, sink, indptr, heads, reverse, caps):
-    """Exact integer max flow on CSR slots (lists); returns (value, per-slot
-    net flows, source-side mask).
+    """Exact integer max flow on CSR slots (lists); returns the per-slot net
+    flows.
 
     Row v holds slots indptr[v]..indptr[v+1]-1, slot p runs to heads[p] with
     capacity caps[p], and reverse[p] is the slot of the opposite direction.
@@ -182,6 +179,5 @@ def max_flow_int(num_nodes, source, sink, indptr, heads, reverse, caps):
     flows are skew-symmetric: flows[reverse[p]] == -flows[p].
     """
     residual = list(caps)
-    value, reach = _dinic_python(num_nodes, source, sink, indptr, heads, reverse, residual)
-    flows = [c - r for c, r in zip(caps, residual)]
-    return value, flows, reach
+    _dinic_python(num_nodes, source, sink, indptr, heads, reverse, residual)
+    return [c - r for c, r in zip(caps, residual)]

@@ -12,23 +12,23 @@ the capacity matrix is one contiguous run of slots, and a flow is one
 integer per slot: the signed net flow from tail to head, which is
 skew-symmetric (a slot and its reverse carry opposite values).
 
-Two exact paths compute the flow on the same slots. The fast path passes
-the slots as an int32 CSR matrix to scipy's compiled Dinic
-(`scipy.sparse.csgraph.maximum_flow`), which returns its flow matrix on
-exactly these slots, so the flows are its data array; it runs only when
-the network's values prove that no capacity, flow or residual can overflow
-int32 (see `fits_int32`). Every other network goes to
-`kernels.max_flow_int`, a Dinic over Python integers that walks the same
-slots through a reverse-slot index and returns capacity minus residual.
-Both are Dinic, whose phase count is bounded by the node count, so
-termination does not depend on capacity values. The minimum cut is the set
-of nodes reachable from the source in the residual network, which is the
-same for every maximum flow. On a saturating flow, one whose value equals
-the total capacity out of the source, every source slot has residual 0, so
-the scipy path takes the cut {source} with no search. Either way
-max-flow/min-cut duality is asserted before the result is returned. scipy
-is imported on the first call of `max_flow`, so importing the package does
-not load it.
+Two exact paths compute the flow on the same slots and return only the
+per-slot net flows. The fast path passes the slots as an int32 CSR matrix to
+scipy's compiled Dinic (`scipy.sparse.csgraph.maximum_flow`), whose flow
+matrix comes back on exactly these slots; it runs only when the network's
+values prove that no capacity, flow or residual can overflow int32 (see
+`fits_int32`). Every other network goes to `kernels.max_flow_int`, a Dinic
+over Python integers on the same slots. Dinic's phase count is bounded by
+the node count, so termination does not depend on capacity values.
+
+`max_flow` derives the rest once, whichever path ran. The value is the
+source row's net outflow. The minimum cut is the set of nodes reachable from
+the source over slots below capacity, the same for every maximum flow. A
+flow whose value equals the supply (the total capacity out of the source)
+saturates every source slot, so its cut is {source}, of capacity the supply,
+with no search; any other flow gets one breadth-first search, and duality is
+asserted on its cut. scipy is imported on the first call of `max_flow`, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -172,33 +172,9 @@ def fits_int32(max_capacity, supply, num_slots, num_nodes):
     )
 
 
-def _int32_matrix(net):
-    """The capacity matrix on the network's slots as int32 CSR, or None when
-    `fits_int32` fails. Int32 capacities are wrapped, not copied. A network
-    without slots takes the Python path, which returns at once.
-    """
-    caps = net.capacities
-    if caps.size == 0:
-        return None
-    indptr = net.indptr
-    supply = sum(caps[indptr[net.source] : indptr[net.source + 1]].tolist())
-    if not fits_int32(int(caps.max()), supply, caps.size, net.num_nodes):
-        return None
-    from scipy.sparse import csr_array
-
-    return csr_array(
-        (
-            caps.astype(np.int32, copy=False),
-            net.heads.astype(np.int32, copy=False),
-            indptr.astype(np.int32),
-        ),
-        shape=(net.num_nodes, net.num_nodes),
-    )
-
-
-def _scipy_max_flow(net, matrix):
-    """(value, per-slot int64 net flows, source-side mask, cut capacity) from
-    scipy's Dinic.
+def _scipy_flows(net, indptr):
+    """Per-slot int64 net flows from scipy's Dinic, on a network that
+    `fits_int32` holds for; int32 capacities are wrapped, not copied.
 
     scipy adds a zero-capacity reverse for every entry that lacks one and
     returns its flow matrix on the resulting slots. A network in CSR form has
@@ -206,67 +182,76 @@ def _scipy_max_flow(net, matrix):
     one comparison of the index arrays confirms that before the data is read.
     """
     from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+    from scipy.sparse.csgraph import maximum_flow
 
-    result = maximum_flow(matrix, net.source, net.sink, method="dinic")
-    flow = result.flow
+    matrix = csr_array(
+        (
+            net.capacities.astype(np.int32, copy=False),
+            net.heads.astype(np.int32, copy=False),
+            indptr.astype(np.int32),
+        ),
+        shape=(net.num_nodes, net.num_nodes),
+    )
+    flow = maximum_flow(matrix, net.source, net.sink, method="dinic").flow
     if not (
         np.array_equal(flow.indptr, matrix.indptr)
         and np.array_equal(flow.indices, matrix.indices)
     ):
         net.reverse_slots()  # names a missing reverse slot, if there is one
         raise AssertionError("scipy returned its flow on other slots than the network's")
-    value = int(result.flow_value)
-    side = np.zeros(net.num_nodes, np.bool_)
-    side[net.source] = True
-    supply = int(matrix.data[matrix.indptr[net.source] : matrix.indptr[net.source + 1]].sum())
-    if value == supply:
-        # No slot carries more than its capacity, so the source row's net
-        # outflow reaches its capacity sum only when every source slot is
-        # saturated: no residual leaves the source.
-        return value, flow.data.astype(np.int64), side, supply
-    # Capacity minus net flow is each slot's residual; the zeros are dropped
-    # so that only positive residuals are edges of the search. The index
-    # arrays are copied because dropping works in place and `matrix` shares
-    # the network's heads.
-    residual = csr_array(
-        (matrix.data - flow.data, matrix.indices, matrix.indptr), matrix.shape, copy=True
-    )
-    residual.eliminate_zeros()
-    reached = breadth_first_order(
-        residual, net.source, directed=True, return_predecessors=False
-    )
-    side[reached] = True
-    # At most 2**31 slots of less than 2**31 each: the sum fits int64.
-    crossing = side[net.tails] & ~side[net.heads]
-    cut_cap = int(matrix.data[crossing].sum(dtype=np.int64))
-    return value, flow.data.astype(np.int64), side, cut_cap
+    return flow.data.astype(np.int64)
 
 
 def max_flow(net):
-    """Maximum flow and a minimum cut; duality is asserted before returning."""
+    """Maximum flow and a minimum cut, derived once from either path's flows."""
     net.validate()
-    matrix = _int32_matrix(net)
-    if matrix is None:
-        value, flows, reach = kernels.max_flow_int(
+    caps = net.capacities
+    indptr = net.indptr
+    source_slots = slice(indptr[net.source], indptr[net.source + 1])
+    supply = sum(caps[source_slots].tolist())
+    # A network without slots takes the Python path, which returns at once.
+    fits = caps.size > 0 and fits_int32(int(caps.max()), supply, caps.size, net.num_nodes)
+    if fits:
+        flows = _scipy_flows(net, indptr)
+    else:
+        flows = kernels.max_flow_int(
             net.num_nodes,
             net.source,
             net.sink,
-            net.indptr.tolist(),
+            indptr.tolist(),
             net.heads.tolist(),
             net.reverse_slots().tolist(),
-            net.capacities.tolist(),
+            caps.tolist(),
         )
         # int32 capacities still give int64 flows, object ones Python ints.
-        flows = np.array(flows, dtype=np.promote_types(net.capacities.dtype, np.int64))
-        side = np.array(reach, dtype=np.bool_)
-        cut_cap = sum(net.capacities[side[net.tails] & ~side[net.heads]].tolist())
-    else:
-        value, flows, side, cut_cap = _scipy_max_flow(net, matrix)
-    if cut_cap != value:
-        raise AssertionError(
-            f"max-flow/min-cut duality violated: value {value} vs cut {cut_cap}"
+        flows = np.array(flows, dtype=np.promote_types(caps.dtype, np.int64))
+    value = sum(flows[source_slots].tolist())
+    side = np.zeros(net.num_nodes, np.bool_)
+    side[net.source] = True
+    # A saturating flow leaves no residual out of the source: its cut is
+    # {source}, of capacity `supply`.
+    if value != supply:
+        from scipy.sparse import csr_array
+        from scipy.sparse.csgraph import breadth_first_order
+
+        # The slots with residual capacity; the False entries are dropped
+        # so that only they are edges of the search. The index arrays are
+        # copied because dropping works in place on the network's heads.
+        residual = csr_array(
+            (caps > flows, net.heads, indptr), shape=(net.num_nodes,) * 2, copy=True
         )
+        residual.eliminate_zeros()
+        side[breadth_first_order(residual, net.source, return_predecessors=False)] = True
+        if side[net.sink]:
+            raise AssertionError("the flow is not maximum: the sink is reachable")
+        cut = caps[side[net.tails] & ~side[net.heads]]
+        # Under `fits_int32` there are fewer than 2**31 slots of less than
+        # 2**31 each, so the int64 sum is exact; otherwise Python ints.
+        cut_cap = int(cut.sum(dtype=np.int64)) if fits else sum(cut.tolist())
+        if cut_cap != value:
+            raise AssertionError(
+                f"max-flow/min-cut duality violated: value {value} vs cut {cut_cap}"
+            )
     return FlowResult(
         value=Fraction(value, net.denominator),
         flows=flows,

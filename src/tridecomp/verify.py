@@ -94,6 +94,14 @@ FLOAT_EDGE_TOLERANCE = 1e-9
 FLOAT_WEIGHT_FLOOR = -1e-12
 
 
+def _is_exact(mode):
+    """Whether `mode` is "exact"; ValueError for any mode but "exact" and
+    "float", so that a misspelt mode never loosens the check to float."""
+    if mode not in ("exact", "float"):
+        raise ValueError(f"mode {mode!r} is neither 'exact' nor 'float'")
+    return mode == "exact"
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     ok: bool
@@ -122,7 +130,7 @@ def verify(g, decomposition, mode="exact"):
         decomposition = Decomposition.from_entries(list(decomposition))
     numerators = decomposition.numerators
     den = decomposition.denominator
-    exact = mode == "exact"
+    exact = _is_exact(mode)
 
     # A weight x/den is below the floor f exactly when x < ceil(f * den).
     floor = 0 if exact else math.ceil(Fraction(FLOAT_WEIGHT_FLOOR) * den)
@@ -170,7 +178,7 @@ def format_decomposition(d, mode="exact"):
     values, inverse = np.unique(d.numerators, return_inverse=True)
     inverse = inverse.ravel().tolist()
     den = d.denominator
-    if mode == "exact":
+    if _is_exact(mode):
         common = np.gcd(values, den)
         strings = [
             str(p) if q == 1 else f"{p}/{q}"

@@ -145,6 +145,12 @@ class TestCommonNeighbors:
         with pytest.raises(IndexError):
             k4.endpoints(99)
 
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, 4), (4, 0)])
+    def test_edge_id_outside_vertices(self, k4, u, v):
+        # eid[-1] would be the last row: (-1, 0) is not edge (0, 3).
+        with pytest.raises(KeyError):
+            k4.edge_id(u, v)
+
 
 class TestTriangles:
     def test_k4(self, k4):

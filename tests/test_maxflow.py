@@ -393,14 +393,25 @@ class TestPaths:
 
 
 class TestInt32Capacities:
-    def test_auxiliary_capacities_are_wrapped_not_copied(self):
+    def test_auxiliary_capacities_are_wrapped_not_copied(self, monkeypatch):
+        from scipy.sparse import csgraph
+
+        matrices = []
+        real = csgraph.maximum_flow
+
+        def spy(matrix, *args, **kwargs):
+            matrices.append(matrix)
+            return real(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "maximum_flow", spy)
         for label, arcnet, _ in auxiliary_networks():
             caps = arcnet.capacities
             fits = maxflow.fits_int32(
                 int(caps.max()), supply(arcnet), caps.size, arcnet.num_nodes
             )
             assert fits and caps.dtype == np.int32, label
-            assert np.shares_memory(maxflow._int32_matrix(arcnet).data, caps), label
+            max_flow(arcnet)
+            assert np.shares_memory(matrices.pop().data, caps), label
 
     def test_network_past_the_guard_keeps_int64(self, dinic_calls):
         # The same graph with the link capacity set so that max C + S ends
@@ -475,6 +486,49 @@ class TestSaturatingFlowSkipsSearch:
         assert search_calls == [arcnet.source] and not dinic_calls
         assert res.source_side.sum() > 1
         assert flow_violation(arcnet, res) is None
+
+
+class TestOneDerivation:
+    """The value, the cut and the duality check come from the flows alone, so
+    the Python path skips the search on a saturating flow and finds the
+    scipy path's cut otherwise."""
+
+    @pytest.mark.parametrize("n", range(13, 21))
+    def test_saturating_python_path(self, n, search_calls, dinic_calls, monkeypatch):
+        arcnet, _ = flow_network(complete_minus_hamilton(n)).to_arc_network()
+        monkeypatch.setattr(maxflow, "_INT32_LIMIT", 0)
+        assert_source_alone(arcnet, max_flow(arcnet))
+        assert not search_calls and len(dinic_calls) == 1
+
+    @pytest.mark.parametrize(
+        "graph, arg",
+        [(complete_minus_hamilton, n) for n in range(7, 13)] + [(rmd40, seed) for seed in range(2)],
+    )
+    def test_cut_python_path(self, graph, arg, search_calls, dinic_calls):
+        arcnet, _ = flow_network(graph(arg)).to_arc_network()
+        fast, exact = both_paths(arcnet, dinic_calls)
+        assert search_calls == [arcnet.source] * 2
+        assert exact.source_side.tolist() == fast.source_side.tolist()
+        assert flow_violation(arcnet, fast) is None
+        assert flow_violation(arcnet, exact) is None
+
+    @pytest.mark.parametrize("limit", [maxflow._INT32_LIMIT, 0])
+    @pytest.mark.parametrize(
+        "flows, message",
+        [
+            # Valid but not maximum: an augmenting path is left.
+            ([0, 0, 0, 0, 0, 0], "the sink is reachable"),
+            # Node 2 keeps a unit: the cut {0, 2} carries 1, the source sends 2.
+            ([1, 1, -1, 1, -1, -1], "value 2 vs cut 1"),
+        ],
+    )
+    def test_bad_flow_trips_the_check(self, limit, flows, message, monkeypatch):
+        network = net(4, [(0, 1, 1), (0, 2, 2), (1, 3, 1)], sink=3)
+        monkeypatch.setattr(maxflow, "_INT32_LIMIT", limit)
+        monkeypatch.setattr(maxflow, "_scipy_flows", lambda *args: np.array(flows))
+        monkeypatch.setattr(kernels, "max_flow_int", lambda *args: flows)
+        with pytest.raises(AssertionError, match=message):
+            max_flow(network)
 
 
 def networkx_value(network):

@@ -14,6 +14,7 @@ from tridecomp.verify import (
     FLOAT_EDGE_TOLERANCE,
     FLOAT_WEIGHT_FLOOR,
     Decomposition,
+    format_decomposition,
     parse_decomposition,
     verify,
 )
@@ -116,6 +117,18 @@ class TestFloatMode:
         entries = uniform_k4_entries(0.5) + [((0, 1, 2), -1e-6), ((0, 1, 2), 1e-6)]
         report = verify(k4, entries, mode="float")
         assert report.negative_weights == 1
+
+
+@pytest.mark.parametrize("mode", ["Exact", ""])
+def test_unknown_mode_rejected(k4, mode):
+    # Float tolerance would pass this decomposition; exact mode fails it.
+    entries = uniform_k4_entries(Fraction(1, 2))
+    entries[0] = (entries[0][0], Fraction(1, 2) + Fraction(1, 10**12))
+    assert not verify(k4, entries).ok and verify(k4, entries, mode="float").ok
+    with pytest.raises(ValueError, match="neither 'exact' nor 'float'"):
+        verify(k4, entries, mode=mode)
+    with pytest.raises(ValueError, match="neither 'exact' nor 'float'"):
+        format_decomposition(Decomposition.from_entries(entries), mode)
 
 
 def test_report_string(k4):
