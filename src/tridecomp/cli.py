@@ -66,13 +66,17 @@ def _parts(text):
     return parts
 
 
+def _add_generator_flags(p):
+    p.add_argument("--n", type=int, default=0, help="vertex count of the generated graph")
+    p.add_argument("--fraction", type=_fraction, help="min-degree fraction of the generated graph")
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--parts", type=_parts, help="part sizes for complete-multipartite")
+
+
 def _add_input_flags(p):
     p.add_argument("--input", help="edge-list file to read")
     p.add_argument("--gen", help="generate the input instead (family name)")
-    p.add_argument("--n", type=int, default=0, help="vertex count for --gen")
-    p.add_argument("--fraction", type=_fraction, help="min-degree fraction for --gen")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--parts", type=_parts, help="part sizes for complete-multipartite")
+    _add_generator_flags(p)
 
 
 def _read_text(path):
@@ -96,14 +100,12 @@ def _load_graph(args):
         raise InputFormatError("exactly one of --input or --gen is required")
     if args.input:
         return read_edge_list(_read_text(args.input))
-    spec = GenSpec(
-        family=args.gen,
-        n=args.n,
-        fraction=args.fraction,
-        seed=args.seed,
-        parts=args.parts,
-    )
-    return _generate(spec)
+    return _generate(_gen_spec(args, args.gen))
+
+
+def _gen_spec(args, family):
+    """The GenSpec of `family` from the generator flags."""
+    return GenSpec(family, args.n, args.fraction, args.seed, args.parts)
 
 
 def _generate(spec):
@@ -177,14 +179,7 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
-    spec = GenSpec(
-        family=args.family,
-        n=args.n,
-        fraction=args.fraction,
-        seed=args.seed,
-        parts=args.parts,
-    )
-    g = _generate(spec)
+    g = _generate(_gen_spec(args, args.family))
     _write_output(args, write_edge_list(g))
     return EXIT_OK
 
@@ -296,10 +291,7 @@ def build_parser():
 
     p = sub.add_parser("gen", help="write a generated instance as an edge list")
     p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--fraction", type=_fraction)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parts", type=_parts)
+    _add_generator_flags(p)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_gen)
 

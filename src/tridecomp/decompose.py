@@ -40,12 +40,13 @@ from .errors import (
 from .graph import (
     DEFAULT_MAX_LINKS,
     Graph,
+    LinkSet,
     degree_stats,
     enumerate_rooted_k4_links,
     enumerate_triangles,
+    pair_keys,
     triangles_per_edge,
 )
-from .kernels import pair_keys, split_keys
 from .maxflow import ArcNetwork, fits_int32, max_flow
 from .peeling import peel_heavy_triangles
 from .verify import CutCertificate, Decomposition, _int_dtype
@@ -118,6 +119,18 @@ def apply_transfer(g, assignment, links, net_flows):
     return assignment
 
 
+def split_keys(keys, base):
+    """The (first, second) int32 arrays of sorted `pair_keys` output.
+
+    The run of each first value is found by one binary search per value,
+    which is far cheaper than dividing every key.
+    """
+    starts = np.searchsorted(keys, np.arange(base + 1, dtype=keys.dtype) * base)
+    first = np.repeat(np.arange(base, dtype=np.int32), np.diff(starts))
+    second = keys - first * keys.dtype.type(base)
+    return first, second.astype(np.int32, copy=False)
+
+
 @dataclass(frozen=True)
 class FlowNetwork:
     """The auxiliary network: residual edges as nodes plus two terminals.
@@ -125,7 +138,8 @@ class FlowNetwork:
     Capacities are integers over `denominator`: terminals[e] is T_e*w - 1
     for edge e (positive: a supersource arc with that surplus, negative: a
     supersink arc with the shortfall, zero: no terminal arc), and every link
-    carries `link_capacity` in each direction.
+    of `links` (in the order they were found) carries `link_capacity` in
+    each direction.
     """
 
     residual: Graph
@@ -149,8 +163,8 @@ class FlowNetwork:
         Slots: e1 -> e2 and e2 -> e1 for each link, at the link capacity;
         supersource -> e for each source edge and e -> supersink for each
         sink edge, with their zero-capacity reverses. The link slots are the
-        slots (e1, e2) with e1 < e2 < m; CSR order lists them in the
-        canonical link order. The capacities are int32 when
+        slots (e1, e2) with e1 < e2 < m; the sort into CSR order is the one
+        place links are ordered, by (e1, e2). The capacities are int32 when
         `maxflow.fits_int32` holds for them, so the scipy path wraps them
         without a copy.
         """
@@ -276,12 +290,6 @@ def solve(residual, deficiency, max_links=DEFAULT_MAX_LINKS):
         flows[sink_row] != network.terminals[arcnet.heads[sink_row]]
     ).any():
         raise AssertionError("a terminal arc is unsaturated at the required flow")
-    links = network.links
-    if not (
-        np.array_equal(arcnet.tails[link_slots], links.e1)
-        and np.array_equal(arcnet.heads[link_slots], links.e2)
-    ):
-        raise AssertionError("the link slots are not in canonical link order")
 
     # Weights are numerators over 2D, so a flow f/D moves f on each of the
     # four triangles of its link. A triangle lies in at most n - 3 K4s and
@@ -292,6 +300,7 @@ def solve(residual, deficiency, max_links=DEFAULT_MAX_LINKS):
     dtype = _int_dtype(start + 3 * (residual.n - 3) * network.link_capacity)
     numerators = np.full(len(triangles), start, dtype)
     assignment = Decomposition(triangles, numerators, denominator, network.required_flow)
+    links = LinkSet(arcnet.tails[link_slots], arcnet.heads[link_slots])
     apply_transfer(residual, assignment, links, flows[link_slots])
     if 3 * sum(numerators.tolist()) != residual.m * denominator:
         raise AssertionError("total triangle weight drifted from m/3")

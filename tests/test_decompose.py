@@ -329,7 +329,8 @@ def reference_solve(g, deficiency):
     if flow.value < net.required_flow:
         return None
     net_flows = [Fraction(f, flow.denominator) for f in flow.flows[link_slots].tolist()]
-    return reference_transfer(g, enumerate_triangles(g).tolist(), w, net.links, net_flows)
+    links = LinkSet(arcnet.tails[link_slots], arcnet.heads[link_slots])
+    return reference_transfer(g, enumerate_triangles(g).tolist(), w, links, net_flows)
 
 
 def python_int_solve(g, deficiency):

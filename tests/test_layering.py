@@ -1,4 +1,5 @@
-"""Module layering: the certificate checker and the LP oracle import no solver."""
+"""Module layering: the certificate checker, the LP oracle and the graph
+layer import no solver."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,12 @@ def test_verify_imports_only_errors():
 
 def test_lp_imports_no_flow_layer():
     assert relative_imports("lp") <= {"errors", "graph", "verify"}
+
+
+def test_graph_imports_no_flow_kernel():
+    # The enumerations live in graph.py, and kernels.py is only the Dinic.
+    assert relative_imports("graph") <= {"errors"}
+    assert relative_imports("kernels") == set()
 
 
 def test_names_keep_their_old_homes():

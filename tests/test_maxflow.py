@@ -18,7 +18,7 @@ from tridecomp.instances import GenSpec, generate
 from tridecomp.maxflow import ArcNetwork, flow_violation, max_flow
 from tridecomp.peeling import peel_heavy_triangles
 
-from conftest import brute_min_cut, complete_minus_hamilton, network_from_triples
+from conftest import brute_links, brute_min_cut, complete_minus_hamilton, network_from_triples
 
 
 def net(num_nodes, triples, source=0, sink=None):
@@ -278,14 +278,33 @@ def rmd40(seed):
     return generate(GenSpec("random-min-degree", 40, Fraction(7, 10), seed))
 
 
-def auxiliary_networks():
-    """(label, arc network, link-slot mask) of solve's network on K_n minus a
-    Hamilton cycle (n <= 20) and on random-min-degree n=40 at 7/10."""
+def auxiliary_flow_networks():
+    """(label, FlowNetwork) of solve on K_n minus a Hamilton cycle (n <= 20)
+    and on random-min-degree n=40 at 7/10."""
     graphs = [(f"K{n}-H", complete_minus_hamilton(n)) for n in range(7, 21)]
     graphs += [(f"rmd40 7/10 seed {seed}", rmd40(seed)) for seed in range(4)]
     for label, g in graphs:
-        arcnet, link_slots = flow_network(g).to_arc_network()
+        yield label, flow_network(g)
+
+
+def auxiliary_networks():
+    """(label, arc network, link-slot mask) of the `auxiliary_flow_networks`."""
+    for label, network in auxiliary_flow_networks():
+        arcnet, link_slots = network.to_arc_network()
         yield label, arcnet, link_slots
+
+
+def test_link_slots_list_each_link_once_in_order():
+    # Links are enumerated unsorted; the CSR sort of the arc network is the
+    # one place they are ordered.
+    for label, network in auxiliary_flow_networks():
+        arcnet, link_slots = network.to_arc_network()
+        m = network.residual.m
+        tails, heads = arcnet.tails, arcnet.heads
+        slots = list(zip(tails[link_slots].tolist(), heads[link_slots].tolist()))
+        assert slots == brute_links(network.residual), label
+        assert int(link_slots.sum()) == len(network.links), label
+        assert link_slots[(tails < heads) & (heads < m)].all(), label
 
 
 def supply(network):
